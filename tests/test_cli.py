@@ -24,6 +24,10 @@ GOLDEN_CASES = [
     ("constants_lawB", ["constants", "--law", LAW_B, "--y", "0"]),
     ("validate_lawA", ["validate", "--law", LAW_A]),
     ("validate_lawB", ["validate", "--law", LAW_B]),
+    ("simulate_lawB", ["simulate", "--law", LAW_B, "--start", "0", "--n", "50",
+                       "--paths", "40000", "--seed", "7"]),
+    ("compare_lawA", ["compare", "--law", LAW_A, "--y", "1", "--n-max", "256",
+                      "--paths", "20000", "--seed", "3"]),
 ]
 
 
