@@ -37,6 +37,7 @@ from .errors import (
     HorizonMismatch,
     HorizonTooLarge,
     InvalidLaw,
+    InvalidSimConfig,
     NegativeDriftUnsupported,
     NoReflectionsObserved,
     NonPositiveArgument,

@@ -31,10 +31,10 @@ from .chain import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from .errors import ReflectWalkError, SlopeMismatch
+from .errors import InvalidSimConfig, ReflectWalkError, SlopeMismatch
 from .fluctuation import descent_joint_table
 from .laws import Regime, check_hypotheses, load_law, minimize_mgf, moments, tilt
-from .montecarlo import SimConfig, estimate_pxy, simulate
+from .montecarlo import SimConfig, simulate
 from .reflection import (
     build_reflection_core,
     doeblin_gap,
@@ -207,12 +207,12 @@ def _cmd_compare(args) -> int:
     asym = asymptotic_law(law, args.x, args.y)
     column = n_step_series(law, args.x, [args.y], args.n_max)[args.y]
     grid = [n for n in (2**k for k in range(4, 40)) if n <= args.n_max]
+    config = SimConfig(law, args.x, max(grid, default=0), args.paths, args.seed)
+    result = simulate(config, checkpoints=grid)
     rows = []
     for n in grid:
-        exact = column[n]
-        pred = predict(asym, n)
-        est = estimate_pxy(SimConfig(law, args.x, n, args.paths, args.seed), args.y)
-        rows.append((n, exact, pred, est.point, est.stderr))
+        est = result.estimate(args.y, n)
+        rows.append((n, column[n], predict(asym, n), est.point, est.stderr))
     _emit_csv("n,exact,predicted,mc,mc_stderr", rows)
     return 0
 
@@ -456,6 +456,9 @@ def main(argv=None) -> int:
         return 1
     try:
         code = args.fn(args)
+    except InvalidSimConfig as exc:
+        sys.stderr.write(f"input error: {exc}\n")
+        return 1
     except ReflectWalkError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

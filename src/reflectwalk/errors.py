@@ -53,5 +53,9 @@ class NotInvertibleCentered(ReflectWalkError):
     """Resolvent solve called on a stochastic (centered) reflection core."""
 
 
+class InvalidSimConfig(ReflectWalkError, ValueError):
+    """A Monte Carlo config field, checkpoint or thread setting is out of range."""
+
+
 class NoReflectionsObserved(ReflectWalkError):
     """Simulation saw zero reflections; cannot estimate the reflection law."""

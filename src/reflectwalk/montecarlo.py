@@ -2,7 +2,10 @@
 
 Path i draws its increments from the Philox substream keyed by (seed, i), so
 results are bit-reproducible for a fixed config no matter how paths are
-partitioned into blocks or threads. Aggregation is plain counting.
+partitioned into blocks or threads, or draws into chunks. Aggregation is
+plain counting. Draw j of a path depends only on (seed, path, j), so the
+first n steps of a run to horizon N are a run to horizon n: one pass records
+the terminal counts of every checkpoint horizon.
 """
 
 from __future__ import annotations
@@ -10,18 +13,29 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoReflectionsObserved
+from .chain import MEMORY_CAP_FLOATS, STREAMING_N_MAX_CAP
+from .errors import HorizonTooLarge, InvalidSimConfig, NoReflectionsObserved
 from .laws import LatticeLaw
 from .philox import uniforms
 
 THREADS_ENV = "REFLECTWALK_THREADS"
 _BLOCK_PATHS = 16_384
-_CHUNK_DRAWS = 4_096  # must stay 4-aligned for the substream layout
+# Draws per path per Philox call; must stay 4-aligned for the substream layout.
+# 64 keeps a block's Philox temporaries and increments in cache.
+_CHUNK_DRAWS = 64
 _CACHE_LIMIT = 32
+
+# Caps on a config. States are held as int32, which STATE_CAP keeps safe.
+THREADS_CAP = 64  # the block count is a multiple of the thread count
+PATH_STEPS_CAP = 1_000_000_000  # paths * horizon
+STATE_CAP = 5_000_000  # start + b * horizon bounds every state; counts are dense in it
+
+_GUIDE_BITS = 16
+_MIXED = np.iinfo(np.int32).min  # guide entry of a bucket that holds a cdf threshold
 
 
 @dataclass(frozen=True, eq=False)
@@ -34,11 +48,20 @@ class SimConfig:
 
     def __post_init__(self):
         if self.start < 0:
-            raise ValueError("start state must be nonnegative")
+            raise InvalidSimConfig(f"start must be >= 0, got {self.start}")
         if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
+            raise InvalidSimConfig(f"horizon must be >= 0, got {self.horizon}")
         if self.paths < 1:
-            raise ValueError("need at least one path")
+            raise InvalidSimConfig(f"paths must be >= 1, got {self.paths}")
+        if self.horizon > STREAMING_N_MAX_CAP:
+            raise HorizonTooLarge(f"horizon {self.horizon} exceeds cap {STREAMING_N_MAX_CAP}")
+        if self.paths * self.horizon > PATH_STEPS_CAP:
+            raise HorizonTooLarge(
+                f"paths * horizon = {self.paths * self.horizon} exceeds cap {PATH_STEPS_CAP}"
+            )
+        reach = self.start + self.law.b * self.horizon
+        if reach > STATE_CAP:
+            raise HorizonTooLarge(f"start + b * horizon = {reach} exceeds cap {STATE_CAP}")
 
     def key(self) -> tuple:
         return (self.law.key(), self.start, self.horizon, self.paths, self.seed)
@@ -60,6 +83,7 @@ class SimResult:
         (index 0 counts paths that never reflect).
     first_reflection_target[w-1]: landing state of those first reflections.
     reflection_target[w-1]: landing counts over all reflections, all paths.
+    terminal_at[n][y]: paths at y after n steps, for each checkpoint n.
     """
 
     config: SimConfig
@@ -67,88 +91,162 @@ class SimResult:
     first_reflection_time: np.ndarray
     first_reflection_target: np.ndarray
     reflection_target: np.ndarray
+    terminal_at: dict = field(default_factory=dict)
 
     def terminal_prob(self, y: int) -> float:
         if 0 <= y < self.terminal.shape[0]:
             return float(self.terminal[y]) / self.config.paths
         return 0.0
 
+    def estimate(self, y: int, n: int | None = None) -> Estimate:
+        """Empirical P[X_n = y] with its binomial standard error; n defaults
+        to the horizon, else it must be a checkpoint."""
+        counts = self.terminal if n is None else self.terminal_at[n]
+        hits = int(counts[y]) if 0 <= y < counts.shape[0] else 0
+        p = hits / self.config.paths
+        return Estimate(p, math.sqrt(p * (1.0 - p) / self.config.paths), hits)
 
-def _max_workers(n_blocks: int) -> int:
+
+def _max_workers() -> int:
     cap = os.environ.get(THREADS_ENV)
-    if cap is not None:
-        workers = max(1, int(cap))
-    else:
-        workers = os.cpu_count() or 1
-    return max(1, min(workers, n_blocks))
+    if cap is None:
+        return min(os.cpu_count() or 1, THREADS_CAP)
+    try:
+        return min(max(1, int(cap)), THREADS_CAP)
+    except ValueError:
+        raise InvalidSimConfig(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
 
 
-def _path_blocks(paths: int):
-    for start in range(0, paths, _BLOCK_PATHS):
-        yield start, min(start + _BLOCK_PATHS, paths)
+def _path_blocks(paths: int, workers: int) -> list[tuple[int, int]]:
+    """Split [0, paths) into near-equal blocks of at most _BLOCK_PATHS paths,
+    as many as a multiple of `workers`, so that no pool thread idles."""
+    count = -(-paths // _BLOCK_PATHS)
+    count = min(-(-count // workers) * workers, paths)
+    return [(paths * i // count, paths * (i + 1) // count) for i in range(count)]
 
 
-def _draw_increments(law: LatticeLaw, seed: int, ids: np.ndarray, first: int, count: int):
-    cdf = np.cumsum(law.masses)
-    u = uniforms(seed, ids, first, count)
-    idx = np.searchsorted(cdf, u, side="right")
-    return idx + law.lo
+class _IncrementMap:
+    """Maps draws u to increments searchsorted(cdf, u, side="right") + lo, bit
+    for bit, through a guide table (Chen & Asau 1974).
+
+    A draw is u = w * 2^-32 for a 32-bit word w, so bucket floor(u * 2^16)
+    holds the draws k * 2^-16 .. (k + 1) * 2^-16 - 2^-32. Where searchsorted
+    agrees at both ends, it is constant on the bucket (it is monotone), and the
+    table holds its value. Draws in the other buckets, at most one per cdf
+    threshold, fall back to searchsorted.
+    """
+
+    def __init__(self, law: LatticeLaw):
+        self.cdf = np.cumsum(law.masses)
+        self.lo = law.lo
+        edges = np.arange(2**_GUIDE_BITS + 1, dtype=np.float64) * 2.0**-_GUIDE_BITS
+        first = np.searchsorted(self.cdf, edges[:-1], side="right")
+        last = np.searchsorted(self.cdf, edges[1:] - 2.0**-32, side="right")
+        self.table = np.where(first == last, first + law.lo, _MIXED).astype(np.int32)
+
+    def __call__(self, u: np.ndarray, bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Writes the increments of draws u, shape (paths, steps), into the int32
+        array out, step-major: shape (steps, paths). bucket is intp scratch of
+        the same shape; a block reuses both, which keeps them in cache."""
+        np.multiply(u.T, 2.0**_GUIDE_BITS, out=bucket, casting="unsafe")
+        self.table.take(bucket, out=out, mode="clip")
+        mixed = np.flatnonzero(out == _MIXED)
+        if mixed.size:
+            out.flat[mixed] = np.searchsorted(self.cdf, u.T.flat[mixed], side="right") + self.lo
+        return out
 
 
-def _run_block(config: SimConfig, lo: int, hi: int):
-    law = config.law
-    a = law.a
+def _walk(config: SimConfig, increments: _IncrementMap, lo: int, hi: int, observe) -> np.ndarray:
+    """Step paths [lo, hi) to the horizon and return their final states.
+
+    After each chunk of steps t+1 .. t+m, calls observe(t, raw), where raw[j]
+    holds X_{t+j} + Y_{t+j+1} for every path, the position before the fold:
+    X_{t+j+1} = |raw[j]|, and raw[j] < 0 marks a reflection at step t+j+1.
+    """
     n = config.horizon
     ids = np.arange(lo, hi, dtype=np.uint64)
-    states = np.full(hi - lo, config.start, dtype=np.int64)
+    states = np.full(hi - lo, config.start, dtype=np.int32)
+    shape = (min(_CHUNK_DRAWS, (n + 3) // 4 * 4), hi - lo)
+    raw, inc, bucket = np.empty(shape, np.int32), np.empty(shape, np.int32), np.empty(shape, np.intp)
+    for t in range(0, n, _CHUNK_DRAWS):
+        m = min(_CHUNK_DRAWS, n - t)
+        draws = (m + 3) // 4 * 4
+        increments(uniforms(config.seed, ids, t, draws), bucket[:draws], inc[:draws])
+        for j in range(m):
+            np.add(states, inc[j], out=raw[j])
+            np.abs(raw[j], out=states)
+        observe(t, raw[:m])
+    return states
+
+
+def _state_counts(states: np.ndarray, a: int) -> np.ndarray:
+    return np.bincount(states, minlength=max(int(states.max(initial=0)), a) + 1)
+
+
+def _simulate_block(config, increments, checkpoints, lo, hi):
+    a = config.law.a
     first_time = np.zeros(hi - lo, dtype=np.int64)  # 0 = not yet reflected
     first_target = np.zeros(hi - lo, dtype=np.int64)
     target_counts = np.zeros(a, dtype=np.int64)
+    at = {}
+    if 0 in checkpoints:
+        at[0] = _state_counts(np.full(hi - lo, config.start), a)
 
-    t = 0
-    while t < n:
-        m = min(_CHUNK_DRAWS, ((n - t + 3) // 4) * 4)
-        inc = _draw_increments(law, config.seed, ids, t, m)
-        for j in range(min(m, n - t)):
-            raw = states + inc[:, j]
-            reflected = raw < 0
-            np.abs(raw, out=raw)
-            states = raw
-            if reflected.any():
-                landings = states[reflected]
-                target_counts += np.bincount(landings - 1, minlength=a)
-                newly = reflected & (first_time == 0)
-                if newly.any():
-                    first_time[newly] = t + j + 1
-                    first_target[newly] = states[newly]
-        t += m
+    def observe(t, raw):
+        reflected = raw < 0
+        target_counts[:] += np.bincount(-1 - raw[reflected], minlength=a)
+        newly = np.flatnonzero(reflected.any(axis=0) & (first_time == 0))
+        if newly.size:
+            step = reflected[:, newly].argmax(axis=0)
+            first_time[newly] = t + step + 1
+            first_target[newly] = -raw[step, newly]
+        for c in checkpoints:
+            if t < c <= t + raw.shape[0]:
+                at[c] = _state_counts(np.abs(raw[c - t - 1]), a)
 
-    width = max(int(states.max(initial=0)), a) + 1
-    terminal = np.bincount(states, minlength=width)
-    time_counts = np.bincount(first_time, minlength=n + 1)
-    ft = first_target[first_target > 0]
-    first_target_counts = np.bincount(ft - 1, minlength=a) if ft.size else np.zeros(a, dtype=np.int64)
-    return terminal, time_counts, first_target_counts, target_counts
+    states = _walk(config, increments, lo, hi, observe)
+    terminal = _state_counts(states, a)
+    time_counts = np.bincount(first_time, minlength=config.horizon + 1)
+    first_target_counts = np.bincount(first_target[first_target > 0] - 1, minlength=a)
+    return terminal, time_counts, first_target_counts, target_counts, at
 
 
-def simulate(config: SimConfig) -> SimResult:
-    """Run all paths and aggregate terminal and reflection statistics."""
-    blocks = list(_path_blocks(config.paths))
-    with ThreadPoolExecutor(max_workers=_max_workers(len(blocks))) as pool:
-        parts = list(pool.map(lambda b: _run_block(config, *b), blocks))
+def _run_blocks(config: SimConfig, block_fn, *args) -> list:
+    """block_fn(config, increments, *args, lo, hi) for every path block, on a
+    thread pool; the results come back in block order."""
+    increments = _IncrementMap(config.law)
+    workers = _max_workers()
+    blocks = _path_blocks(config.paths, workers)
+    with ThreadPoolExecutor(max_workers=min(workers, len(blocks))) as pool:
+        return list(pool.map(lambda b: block_fn(config, increments, *args, *b), blocks))
 
-    a = config.law.a
-    width = max(p[0].shape[0] for p in parts)
-    terminal = np.zeros(width, dtype=np.int64)
-    times = np.zeros(config.horizon + 1, dtype=np.int64)
-    first_targets = np.zeros(a, dtype=np.int64)
-    targets = np.zeros(a, dtype=np.int64)
-    for term, tc, ftc, tgt in parts:
-        terminal[: term.shape[0]] += term
-        times += tc
-        first_targets += ftc
-        targets += tgt
-    return SimResult(config, terminal, times, first_targets, targets)
+
+def _sum_counts(arrays) -> np.ndarray:
+    total = np.zeros(max(x.shape[0] for x in arrays), dtype=np.int64)
+    for x in arrays:
+        total[: x.shape[0]] += x
+    return total
+
+
+def simulate(config: SimConfig, checkpoints=()) -> SimResult:
+    """Run all paths and aggregate terminal and reflection statistics.
+
+    For each checkpoint n in [0, horizon], result.terminal_at[n] holds the
+    terminal counts after n steps, bit-identical to those of a run to horizon n.
+    """
+    checkpoints = sorted(set(checkpoints))
+    for c in checkpoints:
+        if not 0 <= c <= config.horizon:
+            raise InvalidSimConfig(f"checkpoint {c} outside [0, horizon {config.horizon}]")
+    parts = _run_blocks(config, _simulate_block, checkpoints)
+    return SimResult(
+        config,
+        _sum_counts([p[0] for p in parts]),
+        sum(p[1] for p in parts),
+        sum(p[2] for p in parts),
+        sum(p[3] for p in parts),
+        {c: _sum_counts([p[4][c] for p in parts]) for c in checkpoints},
+    )
 
 
 _sim_cache: dict[tuple, SimResult] = {}
@@ -165,13 +263,24 @@ def _simulate_cached(config: SimConfig) -> SimResult:
 
 def estimate_pxy(config: SimConfig, y: int) -> Estimate:
     """Empirical P[X_horizon = y] with its binomial standard error."""
-    result = _simulate_cached(config)
-    hits = 0
-    if 0 <= y < result.terminal.shape[0]:
-        hits = int(result.terminal[y])
-    p = hits / config.paths
-    stderr = math.sqrt(p * (1.0 - p) / config.paths)
-    return Estimate(p, stderr, hits)
+    return _simulate_cached(config).estimate(y)
+
+
+def _landing_block(config, increments, burnin, lo, hi):
+    """Per-path landing counts on [1, a] of the reflections past the first `burnin`."""
+    a = config.law.a
+    seen = np.zeros(hi - lo, dtype=np.int64)
+    counts = np.zeros((hi - lo) * a, dtype=np.int64)
+
+    def observe(t, raw):
+        reflected = raw < 0
+        keep = reflected & (seen + np.cumsum(reflected, axis=0) > burnin)
+        _, path = np.nonzero(keep)
+        counts[:] += np.bincount(path * a - 1 - raw[keep], minlength=counts.size)
+        seen[:] += reflected.sum(axis=0)
+
+    _walk(config, increments, lo, hi, observe)
+    return counts.reshape(hi - lo, a)
 
 
 def estimate_nu(config: SimConfig, burnin: int = 100) -> dict[int, Estimate]:
@@ -181,31 +290,10 @@ def estimate_nu(config: SimConfig, burnin: int = 100) -> dict[int, Estimate]:
     remaining landings. The standard error treats each path as one cluster
     (landings within a path are dependent), via the ratio-estimator form.
     """
-    law = config.law
-    a = law.a
-    counts = np.zeros((config.paths, a), dtype=np.int64)
-
-    for lo, hi in _path_blocks(config.paths):
-        ids = np.arange(lo, hi, dtype=np.uint64)
-        states = np.full(hi - lo, config.start, dtype=np.int64)
-        seen = np.zeros(hi - lo, dtype=np.int64)
-        t = 0
-        n = config.horizon
-        while t < n:
-            m = min(_CHUNK_DRAWS, ((n - t + 3) // 4) * 4)
-            inc = _draw_increments(law, config.seed, ids, t, m)
-            for j in range(min(m, n - t)):
-                raw = states + inc[:, j]
-                reflected = raw < 0
-                np.abs(raw, out=raw)
-                states = raw
-                if reflected.any():
-                    seen[reflected] += 1
-                    keep = reflected & (seen > burnin)
-                    if keep.any():
-                        rows = np.nonzero(keep)[0] + lo
-                        np.add.at(counts, (rows, states[keep] - 1), 1)
-            t += m
+    a = config.law.a
+    if config.paths * a > MEMORY_CAP_FLOATS:
+        raise HorizonTooLarge(f"paths * a = {config.paths * a} exceeds cap {MEMORY_CAP_FLOATS}")
+    counts = np.concatenate(_run_blocks(config, _landing_block, burnin))
 
     per_path = counts.sum(axis=1)
     total = int(per_path.sum())

@@ -16,7 +16,9 @@ MULT_1 = np.uint64(0xCD9E8D57)
 WEYL_0 = np.uint64(0x9E3779B9)
 WEYL_1 = np.uint64(0xBB67AE85)
 MASK32 = np.uint64(0xFFFFFFFF)
+SHIFT32 = np.uint64(32)
 ROUNDS = 10
+_TILE_INVOCATIONS = 32_768  # 256 KiB per uint64 lane array
 
 _INV_2_32 = float(2.0**-32)
 
@@ -26,22 +28,25 @@ def philox4x32(c0, c1, c2, c3, k0, k1):
 
     Returns the four output lanes as uint64 arrays holding 32-bit words.
     """
-    c0 = np.asarray(c0, dtype=np.uint64)
-    c1 = np.asarray(c1, dtype=np.uint64)
-    c2 = np.asarray(c2, dtype=np.uint64)
-    c3 = np.asarray(c3, dtype=np.uint64)
+    # C-ordered copies, which the rounds update in place
+    c0, c1, c2, c3 = (
+        np.array(c, dtype=np.uint64, order="C") for c in np.broadcast_arrays(c0, c1, c2, c3)
+    )
     k0 = np.uint64(k0)
     k1 = np.uint64(k1)
-    c0, c1, c2, c3 = np.broadcast_arrays(c0, c1, c2, c3)
+    prod0 = np.empty_like(c0)
+    prod1 = np.empty_like(c0)
     for _ in range(ROUNDS):
-        prod0 = MULT_0 * c0
-        prod1 = MULT_1 * c2
-        hi0, lo0 = prod0 >> np.uint64(32), prod0 & MASK32
-        hi1, lo1 = prod1 >> np.uint64(32), prod1 & MASK32
-        c0 = hi1 ^ c1 ^ k0
-        c1 = lo1
-        c2 = hi0 ^ c3 ^ k1
-        c3 = lo0
+        np.multiply(MULT_0, c0, out=prod0)
+        np.multiply(MULT_1, c2, out=prod1)
+        np.right_shift(prod1, SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(prod1, MASK32, out=c1)
+        np.right_shift(prod0, SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(prod0, MASK32, out=c3)
         k0 = (k0 + WEYL_0) & MASK32
         k1 = (k1 + WEYL_1) & MASK32
     return c0, c1, c2, c3
@@ -53,18 +58,23 @@ def uniforms(seed: int, path_ids: np.ndarray, first_draw: int, count: int) -> np
     Draw j of path p is lane j mod 4 of the invocation with counter
     (j // 4, low32(p), high32(p), 0) and key (low32(seed), high32(seed)).
     Requires first_draw to be a multiple of 4. Returns shape
-    (len(path_ids), count).
+    (len(path_ids), count), as the transpose of a draw-major array, so that
+    the draws with one index sit in one contiguous row.
     """
     if first_draw % 4 != 0:
         raise ValueError("first_draw must be 4-aligned")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     k0, k1 = seed & 0xFFFFFFFF, seed >> 32
     path_ids = np.asarray(path_ids, dtype=np.uint64)
+    paths = path_ids.shape[0]
     blocks = (count + 3) // 4
-    c0 = (np.uint64(first_draw // 4) + np.arange(blocks, dtype=np.uint64))[None, :]
-    c1 = (path_ids & MASK32)[:, None]
-    c2 = (path_ids >> np.uint64(32))[:, None]
-    c3 = np.uint64(0)
-    lanes = philox4x32(c0, c1, c2, c3, k0, k1)
-    words = np.stack(lanes, axis=-1).reshape(path_ids.shape[0], 4 * blocks)
-    return words[:, :count].astype(np.float64) * _INV_2_32
+    c0 = (np.uint64(first_draw // 4) + np.arange(blocks, dtype=np.uint64))[:, None]
+    out = np.empty((blocks, 4, paths), dtype=np.float64)
+    # path tiles small enough that the round temporaries stay in cache
+    tile = max(1, _TILE_INVOCATIONS // max(blocks, 1))
+    for lo in range(0, paths, tile):
+        ids = path_ids[None, lo : lo + tile]
+        lanes = philox4x32(c0, ids & MASK32, ids >> SHIFT32, 0, k0, k1)
+        for i, lane in enumerate(lanes):
+            np.multiply(lane, _INV_2_32, out=out[:, i, lo : lo + tile])
+    return out.reshape(4 * blocks, paths)[:count].T

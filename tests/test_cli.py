@@ -158,6 +158,37 @@ class TestSimulateAndCompare:
         total = sum(v["point"] for v in payload["terminal"].values())
         assert total == pytest.approx(1.0, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["simulate", "--law", LAW_A, "--start", "0", "--n", "8", "--paths", "0", "--seed", "1"], "paths"),
+            (["simulate", "--law", LAW_A, "--start", "-1", "--n", "8", "--paths", "9", "--seed", "1"], "start"),
+            (["simulate", "--law", LAW_A, "--start", "0", "--n", "-1", "--paths", "9", "--seed", "1"], "horizon"),
+            (["compare", "--law", LAW_A, "--y", "0", "--n-max", "32", "--paths", "0"], "paths"),
+        ],
+        ids=["simulate_paths", "simulate_start", "simulate_n", "compare_paths"],
+    )
+    def test_bad_monte_carlo_input_is_one_line(self, argv, field, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and field in err and "Traceback" not in err
+
+    def test_bad_thread_setting_is_one_line(self, monkeypatch, capsys):
+        monkeypatch.setenv("REFLECTWALK_THREADS", "two")
+        argv = ["simulate", "--law", LAW_A, "--start", "0", "--n", "8", "--paths", "9", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "REFLECTWALK_THREADS" in err
+
+    def test_simulate_cap_is_one_line(self, capsys):
+        argv = ["simulate", "--law", LAW_A, "--start", "0", "--n", "50001", "--paths", "1", "--seed", "1"]
+        code, out, err = run(argv, capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cap" in err
+
     def test_compare_table(self, capsys):
         argv = ["compare", "--law", LAW_A, "--y", "0", "--n-max", "512",
                 "--paths", "20000", "--seed", "3"]

@@ -1,16 +1,71 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reflectwalk.montecarlo as montecarlo
 from reflectwalk import (
+    HorizonTooLarge,
+    InvalidSimConfig,
     NoReflectionsObserved,
+    ReflectWalkError,
     SimConfig,
     estimate_nu,
     estimate_pxy,
+    law_from_masses,
     ladder_laws,
     n_step_table,
     simulate,
     stationary_nu,
 )
+from reflectwalk.chain import STREAMING_N_MAX_CAP
+from reflectwalk.philox import uniforms
+
+
+def reference_walk(config, burnin=0):
+    """The stream contract stepped one draw at a time: inverse CDF by
+    searchsorted, then X <- |X + Y|. Returns the SimResult arrays and the
+    pooled landing counts past `burnin` reflections per path."""
+    law, n = config.law, config.horizon
+    u = uniforms(config.seed, np.arange(config.paths), 0, (n + 3) // 4 * 4)
+    inc = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
+    states = np.full(config.paths, config.start, dtype=np.int64)
+    first_time = np.zeros(config.paths, dtype=np.int64)
+    first_target = np.zeros(config.paths, dtype=np.int64)
+    seen = np.zeros(config.paths, dtype=np.int64)
+    targets = np.zeros(law.a, dtype=np.int64)
+    kept = np.zeros(law.a, dtype=np.int64)
+    for j in range(n):
+        raw = states + inc[:, j]
+        reflected = raw < 0
+        states = np.abs(raw)
+        targets += np.bincount(states[reflected] - 1, minlength=law.a)
+        newly = reflected & (first_time == 0)
+        first_time[newly] = j + 1
+        first_target[newly] = states[newly]
+        seen += reflected
+        kept += np.bincount(states[reflected & (seen > burnin)] - 1, minlength=law.a)
+    ft = first_target[first_target > 0]
+    return {
+        "terminal": np.bincount(states, minlength=max(int(states.max()), law.a) + 1),
+        "first_reflection_time": np.bincount(first_time, minlength=n + 1),
+        "first_reflection_target": np.bincount(ft - 1, minlength=law.a),
+        "reflection_target": targets,
+        "kept": kept,
+    }
+
+
+RESULT_FIELDS = ("terminal", "first_reflection_time", "first_reflection_target", "reflection_target")
+
+
+def assert_same_result(a, b):
+    for name in RESULT_FIELDS:
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.terminal_at.keys() == b.terminal_at.keys()
+    for n in a.terminal_at:
+        assert np.array_equal(a.terminal_at[n], b.terminal_at[n]), n
 
 
 class TestSimulate:
@@ -40,19 +95,135 @@ class TestSimulate:
         assert result.terminal.sum() == 1
 
     def test_thread_count_does_not_change_results(self, law_a, monkeypatch):
-        config = SimConfig(law_a, 0, 30, 40_000, 11)
-        monkeypatch.setenv("REFLECTWALK_THREADS", "1")
-        one = simulate(config)
-        monkeypatch.setenv("REFLECTWALK_THREADS", "4")
-        four = simulate(config)
-        assert np.array_equal(one.terminal, four.terminal)
-        assert np.array_equal(one.reflection_target, four.reflection_target)
+        config = SimConfig(law_a, 0, 70, 40_000, 11)
+        runs = []
+        for threads in ("1", "2", "3", "4"):
+            monkeypatch.setenv("REFLECTWALK_THREADS", threads)
+            runs.append(simulate(config, checkpoints=[0, 16, 64, 70]))
+        for other in runs[1:]:
+            assert_same_result(runs[0], other)
+
+    @pytest.mark.parametrize("threads", ["1", "2", "3"])
+    def test_checkpoints_match_separate_runs(self, law_b, monkeypatch, threads):
+        monkeypatch.setenv("REFLECTWALK_THREADS", threads)
+        checkpoints = [0, 1, 16, 63, 64, 65, 70]
+        result = simulate(SimConfig(law_b, 2, 70, 20_001, 5), checkpoints=checkpoints)
+        assert sorted(result.terminal_at) == checkpoints
+        for n in checkpoints:
+            alone = simulate(SimConfig(law_b, 2, n, 20_001, 5))
+            assert np.array_equal(result.terminal_at[n], alone.terminal)
+            for y in (0, 2, 30, 10_000):
+                assert result.estimate(y, n) == alone.estimate(y)
+        assert np.array_equal(result.terminal_at[70], result.terminal)
+
+    def test_checkpoint_outside_horizon_rejected(self, law_a):
+        with pytest.raises(InvalidSimConfig, match="checkpoint"):
+            simulate(SimConfig(law_a, 0, 10, 10, 0), checkpoints=[11])
+
+    @pytest.mark.parametrize("chunk", [4, 64, 4096])
+    def test_chunk_width_does_not_change_results(self, law_p5, monkeypatch, chunk):
+        monkeypatch.setattr(montecarlo, "_CHUNK_DRAWS", chunk)
+        config = SimConfig(law_p5, 1, 130, 3000, 17)
+        reference = reference_walk(config, burnin=3)
+        result = simulate(config)
+        for name in RESULT_FIELDS:
+            assert np.array_equal(getattr(result, name), reference[name]), name
+        nu = estimate_nu(config, burnin=3)
+        assert [nu[w].count for w in (1, 2)] == reference["kept"].tolist()
+
+    def test_path_blocks_are_balanced(self):
+        cap = montecarlo._BLOCK_PATHS
+        for paths in (1, 2, 3, 5, 20_000, 40_000, 131_072, 3 * cap + 1):
+            for workers in (1, 2, 3, 4):
+                blocks = montecarlo._path_blocks(paths, workers)
+                sizes = [hi - lo for lo, hi in blocks]
+                assert blocks[0][0] == 0 and blocks[-1][1] == paths
+                assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
+                assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
+                assert len(blocks) % workers == 0 or len(blocks) == paths
+        assert [hi - lo for lo, hi in montecarlo._path_blocks(20_000, 2)] == [10_000, 10_000]
 
     def test_bad_config_rejected(self, law_a):
         with pytest.raises(ValueError):
             SimConfig(law_a, -1, 5, 10, 0)
         with pytest.raises(ValueError):
             SimConfig(law_a, 0, 5, 0, 0)
+
+    @pytest.mark.parametrize(
+        "start,horizon,paths,field", [(-1, 5, 10, "start"), (0, -1, 10, "horizon"), (0, 5, 0, "paths")]
+    )
+    def test_bad_config_error_is_typed(self, law_a, start, horizon, paths, field):
+        with pytest.raises(InvalidSimConfig, match=field) as info:
+            SimConfig(law_a, start, horizon, paths, 0)
+        assert isinstance(info.value, ReflectWalkError)
+
+    @pytest.mark.parametrize("setting,workers", [("-3", 1), ("0", 1), ("3", 3), ("1000", montecarlo.THREADS_CAP)])
+    def test_thread_setting_is_clamped(self, monkeypatch, setting, workers):
+        monkeypatch.setenv("REFLECTWALK_THREADS", setting)
+        assert montecarlo._max_workers() == workers
+
+    def test_bad_thread_setting_rejected(self, law_a, monkeypatch):
+        monkeypatch.setenv("REFLECTWALK_THREADS", "two")
+        with pytest.raises(InvalidSimConfig, match="REFLECTWALK_THREADS"):
+            simulate(SimConfig(law_a, 0, 5, 10, 0))
+
+
+class TestCaps:
+    """Each cap admits its limit and rejects one more; nothing is simulated."""
+
+    def test_horizon_cap(self, law_a):
+        SimConfig(law_a, 0, STREAMING_N_MAX_CAP, 1, 0)
+        with pytest.raises(HorizonTooLarge, match="horizon"):
+            SimConfig(law_a, 0, STREAMING_N_MAX_CAP + 1, 1, 0)
+
+    def test_path_steps_cap(self, law_a):
+        SimConfig(law_a, 0, 1, montecarlo.PATH_STEPS_CAP, 0)
+        with pytest.raises(HorizonTooLarge, match="paths"):
+            SimConfig(law_a, 0, 1, montecarlo.PATH_STEPS_CAP + 1, 0)
+
+    def test_state_cap(self, law_p5):
+        reach = montecarlo.STATE_CAP - law_p5.b * 10
+        SimConfig(law_p5, reach, 10, 1, 0)
+        with pytest.raises(HorizonTooLarge, match="start"):
+            SimConfig(law_p5, reach + 1, 10, 1, 0)
+
+    def test_landing_table_cap(self, law_p5):
+        paths = montecarlo.MEMORY_CAP_FLOATS // law_p5.a + 1
+        with pytest.raises(HorizonTooLarge, match="paths"):
+            estimate_nu(SimConfig(law_p5, 0, 1, paths, 0))
+
+
+@st.composite
+def laws_and_words(draw):
+    """A law whose masses may fall below 2^-16 (several cdf thresholds in one
+    guide bucket), and 32-bit words at bucket edges and cdf thresholds."""
+    a = draw(st.integers(1, 6))
+    b = draw(st.integers(1, 6))
+    weights = draw(
+        st.lists(st.one_of(st.floats(1e-12, 2.0**-16), st.floats(1e-3, 1.0)), min_size=a + b + 1, max_size=a + b + 1)
+    )
+    weights = np.array(weights) / math.fsum(weights)
+    law = law_from_masses({k - a: float(m) for k, m in enumerate(weights)})
+    cdf = np.cumsum(law.masses)
+    words = set(draw(st.lists(st.integers(0, 2**32 - 1), max_size=20)))
+    for c in cdf:
+        w = int(c * 2**32)
+        words.update({w - 1, w, w + 1})
+        k = w >> 16
+        words.update({(k << 16) - 1, k << 16, ((k + 1) << 16) - 1, (k + 1) << 16})
+    words = sorted(w for w in words if 0 <= w < 2**32)
+    words += [0] * (-len(words) % 4)
+    return law, np.array(words, dtype=np.float64).reshape(-1, 4) * 2.0**-32
+
+
+@settings(max_examples=200, deadline=None)
+@given(laws_and_words())
+def test_guide_table_matches_searchsorted(case):
+    law, u = case
+    expected = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
+    shape = u.shape[::-1]
+    got = montecarlo._IncrementMap(law)(u, np.empty(shape, np.intp), np.empty(shape, np.int32))
+    assert np.array_equal(got, expected.T)
 
 
 class TestEstimatePxy:
