@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reflectwalk.montecarlo as montecarlo
@@ -193,10 +193,24 @@ class TestCaps:
             estimate_nu(SimConfig(law_p5, 0, 1, paths, 0))
 
 
+def edge_draws(law, words=()):
+    """Draws at the guide-bucket edges around each cdf threshold, next to each
+    threshold, and at `words`, as uniforms of shape (n, 4)."""
+    words = set(words)
+    for c in np.cumsum(law.masses):
+        w = int(c * 2**32)
+        words.update({w - 1, w, w + 1})
+        k = w >> 16
+        words.update({(k << 16) - 1, k << 16, ((k + 1) << 16) - 1, (k + 1) << 16})
+    words = sorted(w for w in words if 0 <= w < 2**32)
+    words += [0] * (-len(words) % 4)
+    return np.array(words, dtype=np.float64).reshape(-1, 4) * 2.0**-32
+
+
 @st.composite
-def laws_and_words(draw):
-    """A law whose masses may fall below 2^-16 (several cdf thresholds in one
-    guide bucket), and 32-bit words at bucket edges and cdf thresholds."""
+def laws_and_draws(draw):
+    """A law whose masses may fall below 2^-16, which puts several cdf
+    thresholds in one guide bucket, with draws at its bucket edges."""
     a = draw(st.integers(1, 6))
     b = draw(st.integers(1, 6))
     weights = draw(
@@ -204,20 +218,16 @@ def laws_and_words(draw):
     )
     weights = np.array(weights) / math.fsum(weights)
     law = law_from_masses({k - a: float(m) for k, m in enumerate(weights)})
-    cdf = np.cumsum(law.masses)
-    words = set(draw(st.lists(st.integers(0, 2**32 - 1), max_size=20)))
-    for c in cdf:
-        w = int(c * 2**32)
-        words.update({w - 1, w, w + 1})
-        k = w >> 16
-        words.update({(k << 16) - 1, k << 16, ((k + 1) << 16) - 1, (k + 1) << 16})
-    words = sorted(w for w in words if 0 <= w < 2**32)
-    words += [0] * (-len(words) % 4)
-    return law, np.array(words, dtype=np.float64).reshape(-1, 4) * 2.0**-32
+    return law, edge_draws(law, draw(st.lists(st.integers(0, 2**32 - 1), max_size=20)))
+
+
+# four cdf thresholds between 0.3 and 0.3 + 6e-9, all in one guide bucket
+CLUSTERED = law_from_masses({-2: 0.3, -1: 1e-9, 0: 2e-9, 1: 3e-9, 2: 0.7 - 6e-9})
 
 
 @settings(max_examples=200, deadline=None)
-@given(laws_and_words())
+@given(laws_and_draws())
+@example((CLUSTERED, edge_draws(CLUSTERED)))
 def test_guide_table_matches_searchsorted(case):
     law, u = case
     expected = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
