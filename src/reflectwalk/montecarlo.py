@@ -23,6 +23,7 @@ from .laws import LatticeLaw
 from .philox import uniforms
 
 THREADS_ENV = "REFLECTWALK_THREADS"
+THREADS_CAP = 64  # the block count is a multiple of the thread count
 _BLOCK_PATHS = 16_384
 # Draws per path per Philox call; must stay 4-aligned for the substream layout.
 # 64 keeps a block's Philox temporaries and increments in cache.
@@ -30,7 +31,6 @@ _CHUNK_DRAWS = 64
 _CACHE_LIMIT = 32
 
 # Caps on a config. States are held as int32, which STATE_CAP keeps safe.
-THREADS_CAP = 64  # the block count is a multiple of the thread count
 PATH_STEPS_CAP = 1_000_000_000  # paths * horizon
 STATE_CAP = 5_000_000  # start + b * horizon bounds every state; counts are dense in it
 
