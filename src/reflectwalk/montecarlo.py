@@ -23,7 +23,6 @@ from .laws import LatticeLaw
 from .philox import uniforms
 
 THREADS_ENV = "REFLECTWALK_THREADS"
-THREADS_CAP = 64  # the block count is a multiple of the thread count
 _BLOCK_PATHS = 16_384
 # Draws per path per Philox call; must stay 4-aligned for the substream layout.
 # 64 keeps a block's Philox temporaries and increments in cache.
@@ -110,18 +109,24 @@ class SimResult:
 def _max_workers() -> int:
     cap = os.environ.get(THREADS_ENV)
     if cap is None:
-        return min(os.cpu_count() or 1, THREADS_CAP)
+        return os.cpu_count() or 1
     try:
-        return min(max(1, int(cap)), THREADS_CAP)
+        return max(1, int(cap))
     except ValueError:
         raise InvalidSimConfig(f"{THREADS_ENV} must be an integer, got {cap!r}") from None
 
 
 def _path_blocks(paths: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, paths) into near-equal blocks of at most _BLOCK_PATHS paths,
-    as many as a multiple of `workers`, so that no pool thread idles."""
+    """Split [0, paths) into near-equal blocks of at most _BLOCK_PATHS paths.
+
+    Paths that fit one block stay in one. Otherwise the block count is rounded
+    up to a multiple of the threads it can use, min(workers, count), so that no
+    pool thread idles; this at most doubles the count, and never makes more
+    blocks than paths.
+    """
     count = -(-paths // _BLOCK_PATHS)
-    count = min(-(-count // workers) * workers, paths)
+    threads = min(workers, count)
+    count = -(-count // threads) * threads
     return [(paths * i // count, paths * (i + 1) // count) for i in range(count)]
 
 

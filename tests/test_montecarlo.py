@@ -134,14 +134,25 @@ class TestSimulate:
     def test_path_blocks_are_balanced(self):
         cap = montecarlo._BLOCK_PATHS
         for paths in (1, 2, 3, 5, 20_000, 40_000, 131_072, 3 * cap + 1):
-            for workers in (1, 2, 3, 4):
+            for workers in (1, 2, 3, 4, 64):
                 blocks = montecarlo._path_blocks(paths, workers)
                 sizes = [hi - lo for lo, hi in blocks]
                 assert blocks[0][0] == 0 and blocks[-1][1] == paths
                 assert all(b[1] == c[0] for b, c in zip(blocks, blocks[1:]))
                 assert max(sizes) <= cap and max(sizes) - min(sizes) <= 1
-                assert len(blocks) % workers == 0 or len(blocks) == paths
+                least = -(-paths // cap)
+                assert len(blocks) % min(workers, least) == 0
+                assert least <= len(blocks) < 2 * least
         assert [hi - lo for lo, hi in montecarlo._path_blocks(20_000, 2)] == [10_000, 10_000]
+        assert [hi - lo for lo, hi in montecarlo._path_blocks(40_000, 2)] == [10_000] * 4
+
+    def test_small_runs_stay_in_one_block(self):
+        # Many threads must not cut a long, narrow run into tiny blocks.
+        cap = montecarlo._BLOCK_PATHS
+        for workers in (1, 2, 64, 1000):
+            assert montecarlo._path_blocks(300, workers) == [(0, 300)]
+            assert montecarlo._path_blocks(cap, workers) == [(0, cap)]
+            assert len(montecarlo._path_blocks(20_000, workers)) == 2
 
     def test_bad_config_rejected(self, law_a):
         with pytest.raises(ValueError):
@@ -157,8 +168,8 @@ class TestSimulate:
             SimConfig(law_a, start, horizon, paths, 0)
         assert isinstance(info.value, ReflectWalkError)
 
-    @pytest.mark.parametrize("setting,workers", [("-3", 1), ("0", 1), ("3", 3), ("1000", montecarlo.THREADS_CAP)])
-    def test_thread_setting_is_clamped(self, monkeypatch, setting, workers):
+    @pytest.mark.parametrize("setting,workers", [("-3", 1), ("0", 1), ("3", 3), ("1000", 1000)])
+    def test_thread_setting_is_read(self, monkeypatch, setting, workers):
         monkeypatch.setenv("REFLECTWALK_THREADS", setting)
         assert montecarlo._max_workers() == workers
 
