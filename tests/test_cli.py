@@ -28,6 +28,10 @@ GOLDEN_CASES = [
                        "--paths", "40000", "--seed", "7"]),
     ("compare_lawA", ["compare", "--law", LAW_A, "--y", "1", "--n-max", "256",
                       "--paths", "20000", "--seed", "3"]),
+    ("constants_internals_lawA", ["constants", "--law", LAW_A, "--x", "1", "--y", "1",
+                                  "--no-oracle", "--dump-internals"]),
+    ("constants_internals_lawB", ["constants", "--law", LAW_B, "--x", "1", "--y", "1",
+                                  "--no-oracle", "--dump-internals"]),
 ]
 
 
