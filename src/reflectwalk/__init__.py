@@ -36,6 +36,7 @@ from .errors import (
     ConvergenceFailure,
     HorizonMismatch,
     HorizonTooLarge,
+    InvalidInput,
     InvalidLaw,
     InvalidSimConfig,
     NegativeDriftUnsupported,

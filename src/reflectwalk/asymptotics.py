@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import n_step_series
-from .errors import NegativeDriftUnsupported, NotCentered, ReflectWalkError
+from .errors import InvalidInput, NegativeDriftUnsupported, NotCentered, ReflectWalkError
 from .laws import LatticeLaw, Regime, check_hypotheses, minimize_mgf, tilt
 from .reflection import (
     ReflectionCore,
@@ -85,6 +85,12 @@ def _require_hypotheses(law: LatticeLaw):
     return report
 
 
+def _require_states(**states: int):
+    for name, value in states.items():
+        if value < 0:
+            raise InvalidInput(f"{name} must be a state >= 0, got {value}")
+
+
 @dataclass(frozen=True, eq=False)
 class CenteredObjects:
     """Shared centered machinery: ladder system, slopes, reflection core."""
@@ -105,6 +111,7 @@ def centered_constant(
     law: LatticeLaw, y: int, objects: CenteredObjects | None = None
 ) -> AsymptoticLaw:
     """The constant of P_x[X_n = y] ~ C_y / sqrt(n) (independent of x)."""
+    _require_states(y=y)
     report = _require_hypotheses(law)
     if report.regime is not Regime.CENTERED:
         raise NotCentered(f"centered constant needs drift 0, got {report.drift}")
@@ -148,12 +155,26 @@ class DriftedObjects:
     e_tilde_x: float
 
 
-def drifted_objects(law: LatticeLaw, x: int, y: int, validate: bool = True) -> DriftedObjects:
+def drifted_objects(
+    law: LatticeLaw,
+    x: int,
+    y: int,
+    validate: bool = True,
+    objects: CenteredObjects | None = None,
+) -> DriftedObjects:
+    """Conjugate the centering tilt's kernel and excursion data back to law.
+
+    objects, when given, are the centered objects of that tilt, built with a
+    window of at least max(x, y); their ladder and slopes are used as they are.
+    """
     info = minimize_mgf(law)
     r0, rho0 = info.r0, info.rho0
-    tilted = tilt(law, r0)
-    ladder = ladder_laws(tilted, depth=default_depth(tilted, max(x, y)))
-    slope_table = slopes(tilted, ladder, validate=validate)
+    if objects is None:
+        tilted = tilt(law, r0)
+        ladder = ladder_laws(tilted, depth=default_depth(tilted, max(x, y)))
+        slope_table = slopes(tilted, ladder, validate=validate)
+    else:
+        ladder, slope_table = objects.ladder, objects.slope_table
 
     a = ladder.a
     states = list(range(1, a + 1))
@@ -186,8 +207,15 @@ def drifted_objects(law: LatticeLaw, x: int, y: int, validate: bool = True) -> D
     )
 
 
-def drifted_constant(law: LatticeLaw, x: int, y: int) -> AsymptoticLaw:
-    """The constant of P_x[X_n = y] ~ C_{x,y} rho^n / n^(3/2) for drift > 0."""
+def drifted_constant(
+    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
+) -> AsymptoticLaw:
+    """The constant of P_x[X_n = y] ~ C_{x,y} rho^n / n^(3/2) for drift > 0.
+
+    objects: centered objects of the law's centering tilt to reuse, built
+    with a window of at least max(x, y).
+    """
+    _require_states(x=x, y=y)
     report = _require_hypotheses(law)
     if report.regime is Regime.NEGATIVE_DRIFT:
         raise NegativeDriftUnsupported(
@@ -196,7 +224,7 @@ def drifted_constant(law: LatticeLaw, x: int, y: int) -> AsymptoticLaw:
     if report.regime is Regime.CENTERED:
         raise NotCentered("drift is 0; use centered_constant")
 
-    obj = drifted_objects(law, x, y)
+    obj = drifted_objects(law, x, y, objects=objects)
     radius = dominant_eigenvalue(obj.core)
     if radius >= 1.0:
         raise ReflectWalkError(f"conjugated core spectral radius {radius} >= 1")
@@ -236,12 +264,19 @@ def drifted_constant(law: LatticeLaw, x: int, y: int) -> AsymptoticLaw:
     )
 
 
-def asymptotic_law(law: LatticeLaw, x: int, y: int) -> AsymptoticLaw:
-    """Dispatch on the drift regime (x only matters in the drifted case)."""
+def asymptotic_law(
+    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
+) -> AsymptoticLaw:
+    """Dispatch on the drift regime (x only matters in the drifted case).
+
+    objects: centered objects of the law, or of its centering tilt if it
+    drifts, to reuse; built with a window of at least max(x, y).
+    """
+    _require_states(x=x, y=y)
     report = check_hypotheses(law)
     if report.regime is Regime.CENTERED:
-        return centered_constant(law, y)
-    return drifted_constant(law, x, y)
+        return centered_constant(law, y, objects)
+    return drifted_constant(law, x, y, objects)
 
 
 def oracle_constant_centered(
@@ -290,14 +325,15 @@ def constant_report(
     y: int,
     oracle_n: int | None = None,
     rel_tol: float | None = None,
+    objects: CenteredObjects | None = None,
 ) -> dict:
     """Closed-form constant next to its DP-extrapolated counterpart.
 
     Fails loudly (raises) when the two disagree beyond tolerance: the DP is
     ground truth and a silent preference for the closed form would hide an
-    assembly error.
+    assembly error. objects are passed on to asymptotic_law.
     """
-    asym = asymptotic_law(law, x, y)
+    asym = asymptotic_law(law, x, y, objects)
     if asym.regime is Regime.CENTERED:
         n_max = oracle_n or 4000
         tol = rel_tol if rel_tol is not None else 0.02

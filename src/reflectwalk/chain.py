@@ -17,7 +17,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import HorizonTooLarge
+from .errors import HorizonTooLarge, InvalidInput
 from .laws import LatticeLaw
 from .series import TruncatedSeries
 
@@ -144,6 +144,10 @@ STREAMING_N_MAX_CAP = 50_000
 def _check_budget(
     law: LatticeLaw, x: int, n_max: int, memory_cap: int, full_rows: bool = True
 ):
+    if x < 0:
+        raise InvalidInput(f"start state must be >= 0, got {x}")
+    if n_max < 0:
+        raise InvalidInput(f"horizon n_max must be >= 0, got {n_max}")
     n_cap = DEFAULT_N_MAX_CAP if full_rows else STREAMING_N_MAX_CAP
     if n_max > n_cap:
         raise HorizonTooLarge(f"n_max {n_max} exceeds cap {n_cap}")

@@ -20,6 +20,7 @@ import numpy as np
 from . import __version__
 from .asymptotics import (
     asymptotic_law,
+    centered_objects,
     constant_report,
     predict,
     tilting_identity_check,
@@ -31,7 +32,7 @@ from .chain import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from .errors import InvalidSimConfig, ReflectWalkError, SlopeMismatch
+from .errors import InvalidInput, ReflectWalkError, SlopeMismatch
 from .fluctuation import descent_joint_table
 from .laws import Regime, check_hypotheses, load_law, minimize_mgf, moments, tilt
 from .montecarlo import SimConfig, simulate
@@ -45,7 +46,7 @@ from .reflection import (
     kernel_slope_oracle_error,
     r_row_at_s,
 )
-from .wiener_hopf import factorize_at, ladder_laws, roots_z_pm, slopes
+from .wiener_hopf import ladder_laws, roots_z_pm, slopes
 
 
 class UsageError(Exception):
@@ -112,7 +113,7 @@ def _cmd_ladder(args) -> int:
     law = load_law(args.law)
     base, r0, tilted = _centered_base(law)
 
-    if args.oracle:
+    if args.oracle is not None:
         n = args.oracle
         table = descent_joint_table(base, n)
         mu = ladder_laws(base).mu_minus
@@ -167,8 +168,14 @@ def _cmd_exact(args) -> int:
 
 def _cmd_constants(args) -> int:
     law = load_law(args.law)
+    objects = None
+    if args.dump_internals:
+        # one build serves both the constant and the dump; deeper potentials
+        # leave every entry the constant reads unchanged
+        base, r0, tilted = _centered_base(law)
+        objects = centered_objects(base, window=max(args.x, args.y, 10))
     if args.no_oracle:
-        asym = asymptotic_law(law, args.x, args.y)
+        asym = asymptotic_law(law, args.x, args.y, objects)
         payload = {
             "regime": asym.regime.value,
             "rho": asym.rho,
@@ -178,14 +185,9 @@ def _cmd_constants(args) -> int:
             "rel_gap": None,
         }
     else:
-        payload = constant_report(law, args.x, args.y, oracle_n=args.oracle_n)
-    if args.dump_internals:
-        from .wiener_hopf import default_depth
-
-        base, r0, tilted = _centered_base(law)
-        ladder = ladder_laws(base, depth=default_depth(base, window=max(args.x, args.y, 10)))
-        table = slopes(base, ladder)
-        core = build_reflection_core(ladder, table)
+        payload = constant_report(law, args.x, args.y, oracle_n=args.oracle_n, objects=objects)
+    if objects is not None:
+        ladder, table, core = objects.ladder, objects.slope_table, objects.core
         col = e_column(ladder, table, args.y, core.x_window)
         payload["internals"] = {
             "tilted": tilted,
@@ -271,7 +273,9 @@ def _cmd_validate(args) -> int:
             {"name": name, "value": value, "threshold": threshold, "pass": bool(value < threshold)}
         )
 
-    res = max(factorize_at(base, s).residual for s in (0.5, 0.9, 0.99, 1.0))
+    # the s = 1 pair is the one the ladder laws come from
+    ladder = ladder_laws(base)
+    res = max(ladder.factor_pair(s).residual for s in (0.5, 0.9, 0.99, 1.0))
     add("wiener_hopf_residual", res, 1e-10)
 
     worst = max(
@@ -289,7 +293,6 @@ def _cmd_validate(args) -> int:
     add("ladder_factorization_excursion", worst_e, 1e-12)
     add("ladder_factorization_reflection", worst_r, 1e-12)
 
-    ladder = ladder_laws(base)
     partials = descent_joint_table(base, args.oracle_n)
     gaps = [
         _exact_gap(float(ladder.mu_minus[w - 1]), s.coeffs)
@@ -336,9 +339,10 @@ def _cmd_validate(args) -> int:
         0.03,
     )
 
+    fp = ladder.factor_pair(1.0 - eps)
     lam = dominant_eigenvalue(
         np.array(
-            [r_row_at_s(base, 1.0 - eps, x) for x in range(1, base.a + 1)]
+            [r_row_at_s(base, 1.0 - eps, x, fp) for x in range(1, base.a + 1)]
         )
     )
     nu_rt = core.nu_weighted_tilde_mass()
@@ -456,7 +460,7 @@ def main(argv=None) -> int:
         return 1
     try:
         code = args.fn(args)
-    except InvalidSimConfig as exc:
+    except InvalidInput as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1
     except ReflectWalkError as exc:

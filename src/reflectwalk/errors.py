@@ -53,7 +53,11 @@ class NotInvertibleCentered(ReflectWalkError):
     """Resolvent solve called on a stochastic (centered) reflection core."""
 
 
-class InvalidSimConfig(ReflectWalkError, ValueError):
+class InvalidInput(ReflectWalkError, ValueError):
+    """A start state, target state or horizon given by the caller is out of range."""
+
+
+class InvalidSimConfig(InvalidInput):
     """A Monte Carlo config field, checkpoint or thread setting is out of range."""
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import _trim_tail
-from .errors import HorizonTooLarge
+from .errors import HorizonTooLarge, InvalidInput
 from .laws import LatticeLaw
 from .series import TruncatedSeries
 
@@ -91,7 +91,7 @@ def stay_nonneg_table(
 ) -> HalfLineTable:
     """Joint law of staying nonnegative: row n maps y to P[tau > n, S_n = y]."""
     if n_max < 0:
-        raise ValueError("n_max must be >= 0")
+        raise InvalidInput(f"horizon n_max must be >= 0, got {n_max}")
     _check_table_budget(law, n_max, memory_cap)
     rows = [np.array([1.0])]
     descent = np.zeros((n_max + 1, law.a))
@@ -111,7 +111,7 @@ def descent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
     the series of P[tau = n, S_n = -w], w = 1..a. Streams the DP, so large
     horizons are fine."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
     coeffs = np.zeros((law.a, n_max + 1))
     row = np.array([1.0])
     for n in range(1, n_max + 1):
@@ -156,7 +156,7 @@ def ascent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
     """Series for (tau_weak_ascent, landing point): entry j of the list is the
     series of P[tau+ = n, S_n = j], j = 0..b."""
     if n_max < 1:
-        raise ValueError("n_max must be >= 1")
+        raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
     coeffs = np.zeros((law.b + 1, n_max + 1))
     # first step leaves the origin: landing >= 0 means tau+ = 1
     for j in range(0, law.b + 1):

@@ -160,18 +160,23 @@ def kernel_slope_oracle_error(
     ladder: LadderSystem, slope_table: SlopeTable, xs, eps=RICHARDSON_EPS
 ) -> float:
     """Worst relative gap between closed-form kernel slope rows and the
-    Richardson slope of the s-weighted kernel (two independent routes)."""
+    Richardson slope of the s-weighted kernel (two independent routes).
+
+    Each s-weighted row is built once per (x, s); the Richardson estimate
+    for each y reads its entry from that row.
+    """
     law = ladder.law
-    fps = {s: factorize_at(law, s) for s in (1.0 - eps[0], 1.0 - eps[1])}
+    fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
     worst = 0.0
     rows = {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
     scale = max(max(np.max(np.abs(r)) for r in rows.values()), 1.0)
     for x, closed in rows.items():
         base = r_row(ladder, x)
+        rows_at_s = {s: r_row_at_s(law, s, x, fp) for s, fp in fps.items()}
         oracle = np.array(
             [
                 richardson_slope(
-                    lambda s, x=x, y=y: r_row_at_s(law, s, x, fps[s])[y - 1],
+                    lambda s, y=y: rows_at_s[s][y - 1],
                     base[y - 1],
                     eps,
                 )
@@ -300,7 +305,7 @@ def excursion_slope_oracle_error(
     """Worst relative gap between closed-form excursion slopes and the
     Richardson slope of the s-weighted excursion values."""
     law = ladder.law
-    fps = {s: factorize_at(law, s) for s in (1.0 - eps[0], 1.0 - eps[1])}
+    fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
     worst = 0.0
     for x in xs:
         x = int(x)

@@ -13,7 +13,7 @@ reaches them at rate n^(-1/2) and serves as the oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -182,6 +182,10 @@ class LadderSystem:
     mu_plus[j]    = P[S at first weak ascent = j],     j = 0..b
     U_minus[k]    = potential U^-(-k) of the descent renewal, k = 0..depth
     U_plus[m]     = potential U^+(m) of the ascent renewal,   m = 0..depth
+
+    pairs holds the factorizations of the law made so far, keyed by s; it
+    starts with the s = 1 pair the ladder laws come from. Every oracle that
+    works from the same ladder shares them through factor_pair.
     """
 
     law: LatticeLaw
@@ -192,6 +196,7 @@ class LadderSystem:
     sigma: float
     mean_ladder_minus: float
     residual: float
+    pairs: dict = field(default_factory=dict, repr=False)
 
     @property
     def a(self) -> int:
@@ -215,6 +220,13 @@ class LadderSystem:
         if m < 0:
             return 0.0
         return float(self.U_plus[m])
+
+    def factor_pair(self, s: float) -> FactorPair:
+        """The factorization of the law at s, made once per ladder system."""
+        fp = self.pairs.get(s)
+        if fp is None:
+            fp = self.pairs[s] = factorize_at(self.law, s)
+        return fp
 
 
 def default_depth(law: LatticeLaw, window: int = 0) -> int:
@@ -258,6 +270,7 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
         math.sqrt(variance),
         mean_ladder_minus,
         fp.residual,
+        {1.0: fp},
     )
 
 
@@ -374,7 +387,7 @@ def slopes(
     max_rel_err = 0.0
     if validate:
         check_depth = min(depth, 2 * (a + b) + 2)
-        fps = {s: factorize_at(law, s) for s in (1.0 - eps[0], 1.0 - eps[1])}
+        fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
         u_minus_cache = {s: u_minus_at(fp, check_depth) for s, fp in fps.items()}
         u_plus_cache = {s: u_plus_at(fp, check_depth) for s, fp in fps.items()}
 

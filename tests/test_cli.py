@@ -115,6 +115,25 @@ class TestExitCodes:
         law.write_text('{"masses": {"-1": 0.5, "1": 0.5}}')
         assert main(["constants", "--law", str(law), "--y", "0"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv,field",
+        [
+            (["exact", "--law", LAW_A, "--start", "-1", "--n", "5"], "start"),
+            (["exact", "--law", LAW_A, "--start", "0", "--n", "-1"], "horizon"),
+            (["compare", "--law", LAW_A, "--x", "-1", "--y", "0", "--n-max", "32"], "x"),
+            (["compare", "--law", LAW_A, "--y", "-1", "--n-max", "32"], "y"),
+            (["constants", "--law", LAW_B, "--y", "-2", "--no-oracle"], "y"),
+            (["ladder", "--law", LAW_A, "--oracle", "0"], "horizon"),
+        ],
+        ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle"],
+    )
+    def test_bad_state_or_horizon_is_one_line(self, argv, field, capsys):
+        code, out, err = run(argv, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("input error:")
+        assert f"{field} " in err and "Traceback" not in err
+
 
 class TestManifest:
     def test_manifest_on_stderr(self, capsys):

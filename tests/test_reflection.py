@@ -1,4 +1,6 @@
+import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,7 +13,10 @@ from reflectwalk import (
     dominant_eigenvalue,
     e_column,
     e_value,
+    factorize_at,
     ladder_laws,
+    law_from_masses,
+    minimize_mgf,
     r_core,
     r_row,
     r_row_at_s,
@@ -19,13 +24,20 @@ from reflectwalk import (
     resolvent_apply,
     slopes,
     stationary_nu,
+    tilt,
 )
+from reflectwalk import wiener_hopf
+from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
+    e_tilde_value,
+    e_value_at_s,
     excursion_slope_oracle_error,
     kernel_slope_oracle_error,
     r_rows,
+    r_tilde_row,
 )
+from reflectwalk.wiener_hopf import RICHARDSON_EPS, richardson_slope
 from conftest import random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -269,3 +281,118 @@ class TestCoreBundle:
             assert math.fsum(row.tolist()) == pytest.approx(1.0, abs=1e-12)
         for row in core.tilde_rows.values():
             assert np.all(row <= 0.0)
+
+
+def centered_random_law(a: int, b: int, seed: int):
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(a + b + 1)) + 0.02
+    masses /= masses.sum()
+    law = law_from_masses({k - a: float(m) for k, m in enumerate(masses)})
+    return tilt(law, minimize_mgf(law).r0)
+
+
+def reference_kernel_error(ladder, table, xs, eps=RICHARDSON_EPS):
+    """kernel_slope_oracle_error with a fresh factorization and a fresh
+    s-weighted row for every (x, y, s)."""
+    law = ladder.law
+    rows = {x: r_tilde_row(ladder, table, x) for x in xs}
+    scale = max(max(np.max(np.abs(r)) for r in rows.values()), 1.0)
+    worst = 0.0
+    for x, closed in rows.items():
+        base = r_row(ladder, x)
+        oracle = np.array([
+            richardson_slope(
+                lambda s, y=y: r_row_at_s(law, s, x, factorize_at(law, s))[y - 1],
+                base[y - 1],
+                eps,
+            )
+            for y in range(1, ladder.a + 1)
+        ])
+        err = np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6 * scale))
+        worst = max(worst, float(err))
+    return worst
+
+
+def reference_excursion_error(ladder, table, y, xs, eps=RICHARDSON_EPS):
+    """excursion_slope_oracle_error with a fresh factorization per (x, s)."""
+    law = ladder.law
+    worst = 0.0
+    for x in xs:
+        closed = e_tilde_value(ladder, table, x, y)
+        oracle = richardson_slope(
+            lambda s: e_value_at_s(law, s, x, y, factorize_at(law, s)),
+            e_value(ladder, x, y),
+            eps,
+        )
+        worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-6))
+    return worst
+
+
+class TestSharedOracleWork:
+    """The slope oracles share one factorization per (ladder, s) and one
+    s-weighted kernel row per (x, s); their results keep every bit."""
+
+    @pytest.fixture(scope="class")
+    def systems(self, law_p5, law_asym):
+        laws = {"p5": law_p5, "asym": law_asym, "random8": centered_random_law(8, 8, 17)}
+        out = {}
+        for name, law in laws.items():
+            ladder = ladder_laws(law)
+            out[name] = (ladder, slopes(law, ladder))
+        return out
+
+    @pytest.mark.parametrize("name", ["p5", "asym", "random8"])
+    def test_kernel_oracle_matches_fresh_reference(self, systems, name):
+        ladder, table = systems[name]
+        xs = range(0, 2 * ladder.a + 1)
+        assert kernel_slope_oracle_error(ladder, table, xs) == reference_kernel_error(
+            ladder, table, xs
+        )
+
+    @pytest.mark.parametrize("name", ["p5", "asym", "random8"])
+    def test_excursion_oracle_matches_fresh_reference(self, systems, name):
+        ladder, table = systems[name]
+        xs = range(0, 2 * ladder.a + 1)
+        for y in (0, 1, 3):
+            assert excursion_slope_oracle_error(
+                ladder, table, y, xs
+            ) == reference_excursion_error(ladder, table, y, xs)
+
+    def test_ladder_keeps_its_s1_pair(self, systems):
+        ladder, _ = systems["asym"]
+        fp = ladder.factor_pair(1.0)
+        assert fp.phi_minus is ladder.mu_minus and fp.phi_plus is ladder.mu_plus
+        assert ladder.factor_pair(0.5) is ladder.factor_pair(0.5)
+
+
+def count_factorizations(monkeypatch) -> list:
+    """Replace every module binding of factorize_at with a counting wrapper."""
+    calls = []
+    original = wiener_hopf.factorize_at
+
+    def counted(law, s):
+        calls.append(s)
+        return original(law, s)
+
+    for name, module in list(sys.modules.items()):
+        if name == "reflectwalk" or name.startswith("reflectwalk."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+@pytest.mark.parametrize("fixture", ["law_asym", "law_b"], ids=["centered", "drifted"])
+def test_constants_dump_factorizes_once_per_s(fixture, request, tmp_path, monkeypatch, capsys):
+    law = request.getfixturevalue(fixture)
+    path = tmp_path / "law.json"
+    path.write_text(json.dumps({"masses": {str(k): v for k, v in law.as_dict().items()}}))
+    argv = ["constants", "--law", str(path), "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
+    calls = count_factorizations(monkeypatch)
+    assert main(argv) == 0
+    first = list(calls)
+    assert len(first) <= 3
+    assert main(argv) == 0
+    # nothing outlives a main call: the second run factorizes just as often
+    assert calls[len(first):] == first
+    capsys.readouterr()
