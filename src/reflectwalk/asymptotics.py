@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import n_step_series
-from .errors import InvalidInput, NegativeDriftUnsupported, NotCentered, ReflectWalkError
+from .errors import NegativeDriftUnsupported, NotCentered, ReflectWalkError
 from .laws import LatticeLaw, Regime, check_hypotheses, minimize_mgf, tilt
 from .reflection import (
     ReflectionCore,
+    _require_states,
     build_reflection_core,
     dominant_eigenvalue,
     e_column,
@@ -83,12 +84,6 @@ def _require_hypotheses(law: LatticeLaw):
             f"aperiodic={report.aperiodic})"
         )
     return report
-
-
-def _require_states(**states: int):
-    for name, value in states.items():
-        if value < 0:
-            raise InvalidInput(f"{name} must be a state >= 0, got {value}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ import numpy as np
 
 from .errors import (
     ConvergenceFailure,
+    InvalidInput,
     NotInvertibleCentered,
     SingularSystem,
     SlopeMismatch,
@@ -271,6 +272,13 @@ class ExcursionColumn:
     tilde: dict  # x -> slope of E_s(x, y)
 
 
+def _require_states(**states: int):
+    # a negative state would index the potentials from their far end
+    for name, value in states.items():
+        if value < 0:
+            raise InvalidInput(f"{name} must be a state >= 0, got {value}")
+
+
 def e_value(ladder: LadderSystem, x: int, y: int) -> float:
     """E(x, y) = sum_k U^-(k - x) U^+(y - k): expected visits to y before the
     first reflection, started at x, split over the last descent-renewal level."""
@@ -304,6 +312,7 @@ def excursion_slope_oracle_error(
 ) -> float:
     """Worst relative gap between closed-form excursion slopes and the
     Richardson slope of the s-weighted excursion values."""
+    _require_states(y=y)
     law = ladder.law
     fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
     worst = 0.0
@@ -329,6 +338,7 @@ def e_column(
     rel_tol: float = SLOPE_REL_TOL,
 ) -> ExcursionColumn:
     """Excursion values and slopes for one arrival state, Richardson-checked."""
+    _require_states(y=y)
     values = {int(x): e_value(ladder, int(x), y) for x in xs}
     tilde = {int(x): e_tilde_value(ladder, slope_table, int(x), y) for x in xs}
     if validate:

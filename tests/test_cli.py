@@ -124,8 +124,10 @@ class TestExitCodes:
             (["compare", "--law", LAW_A, "--y", "-1", "--n-max", "32"], "y"),
             (["constants", "--law", LAW_B, "--y", "-2", "--no-oracle"], "y"),
             (["ladder", "--law", LAW_A, "--oracle", "0"], "horizon"),
+            (["validate", "--law", LAW_A, "--y", "-1", "--oracle-n", "400"], "y"),
         ],
-        ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle"],
+        ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle",
+             "validate_y"],
     )
     def test_bad_state_or_horizon_is_one_line(self, argv, field, capsys):
         code, out, err = run(argv, capsys)
