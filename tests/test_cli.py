@@ -32,6 +32,9 @@ GOLDEN_CASES = [
                                   "--no-oracle", "--dump-internals"]),
     ("constants_internals_lawB", ["constants", "--law", LAW_B, "--x", "1", "--y", "1",
                                   "--no-oracle", "--dump-internals"]),
+    ("exact_lawA", ["exact", "--law", LAW_A, "--start", "2", "--n", "60"]),
+    ("exact_lawB", ["exact", "--law", LAW_B, "--start", "3", "--n", "40"]),
+    ("ladder_oracle_lawA", ["ladder", "--law", LAW_A, "--oracle", "64"]),
 ]
 
 
