@@ -144,6 +144,9 @@ STREAMING_N_MAX_CAP = 50_000
 def _check_budget(
     law: LatticeLaw, x: int, n_max: int, memory_cap: int, full_rows: bool = True
 ):
+    """The one input check of every DP builder: x and n_max nonnegative, n_max
+    under its cap (DEFAULT_N_MAX_CAP for stored tables, STREAMING_N_MAX_CAP for
+    streamed rows) and the float estimate under memory_cap."""
     if x < 0:
         raise InvalidInput(f"start state must be >= 0, got {x}")
     if n_max < 0:
@@ -235,6 +238,7 @@ def excursion_series(
     law: LatticeLaw, x: int, ys, n_max: int
 ) -> dict[int, TruncatedSeries]:
     """Columns of the excursion table as series, streamed without row storage."""
+    _check_budget(law, x, n_max, MEMORY_CAP_FLOATS, full_rows=False)
     ys = sorted(set(int(y) for y in ys))
     out = np.zeros((len(ys), n_max + 1))
     row = np.zeros(x + 1)

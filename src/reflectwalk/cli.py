@@ -58,18 +58,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _emit_json(payload):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _emit_csv(header: str, rows):
+def _emit_csv(header: str, blocks):
+    """Write `header`, then `template % values` for each (template, values) block;
+    %.12g prints a float as f"{x:.12g}" does, and one block may hold many rows."""
     sys.stdout.write(header + "\n")
-    for row in rows:
-        sys.stdout.write(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    for template, values in blocks:
+        sys.stdout.write(template % values)
 
 
 def _law_digest(law) -> str:
@@ -124,7 +122,7 @@ def _cmd_ladder(args) -> int:
             for w in range(1, base.a + 1):
                 p = float(partials[w - 1][cp])
                 rows.append((cp, w, p, float(mu[w - 1]), float(mu[w - 1]) - p))
-        _emit_csv("n,w,partial_sum,target,gap", rows)
+        _emit_csv("n,w,partial_sum,target,gap", (("%d,%d,%.12g,%.12g,%.12g\n", r) for r in rows))
         return 0
 
     ladder = ladder_laws(base, depth=args.depth)
@@ -155,15 +153,17 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    law = load_law(args.law)
-    table = n_step_table(law, args.start, args.n)
-    rows = []
-    for n in range(args.n + 1):
-        row = table.rows[n]
-        for y in np.nonzero(row)[0]:
-            rows.append((n, int(y), float(row[y])))
-    _emit_csv("n,y,probability", rows)
+    table = n_step_table(load_law(args.law), args.start, args.n)
+    _emit_csv("n,y,probability", map(_exact_block, range(args.n + 1), table.rows))
     return 0
+
+
+def _exact_block(n: int, row: np.ndarray):
+    """DP row n as one CSV block: its nonzero entries (y, P), y ascending."""
+    ys = np.flatnonzero(row)
+    cells = [0] * (2 * ys.size)
+    cells[0::2], cells[1::2] = ys.tolist(), row[ys].tolist()
+    return f"{n},%d,%.12g\n" * ys.size, tuple(cells)
 
 
 def _cmd_constants(args) -> int:
@@ -215,7 +215,7 @@ def _cmd_compare(args) -> int:
     for n in grid:
         est = result.estimate(args.y, n)
         rows.append((n, column[n], predict(asym, n), est.point, est.stderr))
-    _emit_csv("n,exact,predicted,mc,mc_stderr", rows)
+    _emit_csv("n,exact,predicted,mc,mc_stderr", (("%d,%.12g,%.12g,%.12g,%.12g\n", r) for r in rows))
     return 0
 
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import _trim_tail
+from .chain import _check_budget, _trim_tail
 from .errors import HorizonTooLarge, InvalidInput
 from .laws import LatticeLaw
 from .series import TruncatedSeries
@@ -112,6 +112,7 @@ def descent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
     horizons are fine."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
+    _check_budget(law, 0, n_max, MEMORY_CAP_FLOATS, full_rows=False)
     coeffs = np.zeros((law.a, n_max + 1))
     row = np.array([1.0])
     for n in range(1, n_max + 1):
@@ -126,6 +127,7 @@ def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, TruncatedSeries]:
 
     Coefficient n of series y is P[tau_strict_descent > n, S_n = y].
     """
+    _check_budget(law, 0, n_max, MEMORY_CAP_FLOATS, full_rows=False)
     ys = sorted(set(int(y) for y in ys))
     out = np.zeros((len(ys), n_max + 1))
     row = np.array([1.0])
@@ -157,6 +159,7 @@ def ascent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
     series of P[tau+ = n, S_n = j], j = 0..b."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
+    _check_budget(law, 0, n_max, MEMORY_CAP_FLOATS, full_rows=False)
     coeffs = np.zeros((law.b + 1, n_max + 1))
     # first step leaves the origin: landing >= 0 means tau+ = 1
     for j in range(0, law.b + 1):

@@ -279,12 +279,15 @@ def _require_states(**states: int):
             raise InvalidInput(f"{name} must be a state >= 0, got {value}")
 
 
+def _renewal_sum(u_minus, u_plus, x: int, y: int) -> float:
+    """sum_k u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), correctly rounded."""
+    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
+
+
 def e_value(ladder: LadderSystem, x: int, y: int) -> float:
     """E(x, y) = sum_k U^-(k - x) U^+(y - k): expected visits to y before the
     first reflection, started at x, split over the last descent-renewal level."""
-    return math.fsum(
-        ladder.U_minus[x - k] * ladder.U_plus[y - k] for k in range(0, min(x, y) + 1)
-    )
+    return _renewal_sum(ladder.U_minus, ladder.U_plus, x, y)
 
 
 def e_tilde_value(ladder: LadderSystem, slope_table: SlopeTable, x: int, y: int) -> float:
@@ -302,25 +305,29 @@ def e_tilde_value(ladder: LadderSystem, slope_table: SlopeTable, x: int, y: int)
 def e_value_at_s(law: LatticeLaw, s: float, x: int, y: int, fp: FactorPair | None = None) -> float:
     if fp is None:
         fp = factorize_at(law, s)
-    u_minus = u_minus_at(fp, x)
-    u_plus = u_plus_at(fp, y)
-    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
+    return _renewal_sum(u_minus_at(fp, x), u_plus_at(fp, y), x, y)
 
 
 def excursion_slope_oracle_error(
     ladder: LadderSystem, slope_table: SlopeTable, y: int, xs, eps=RICHARDSON_EPS
 ) -> float:
     """Worst relative gap between closed-form excursion slopes and the
-    Richardson slope of the s-weighted excursion values."""
-    _require_states(y=y)
-    law = ladder.law
-    fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
+    Richardson slope of the s-weighted excursion values.
+
+    The s-weighted potentials are prefix-stable, so each is built once per s
+    (the descent one up to max(xs), the ascent one up to y) and serves every x.
+    """
+    xs = [int(x) for x in xs]
+    _require_states(y=y, x=min(xs, default=0))
+    potentials = {}
+    for s in (1.0 - eps[0], 1.0 - eps[1]):
+        fp = ladder.factor_pair(s)
+        potentials[s] = (u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y))
     worst = 0.0
     for x in xs:
-        x = int(x)
         closed = e_tilde_value(ladder, slope_table, x, y)
         oracle = richardson_slope(
-            lambda s, x=x: e_value_at_s(law, s, x, y, fps[s]),
+            lambda s, x=x: _renewal_sum(*potentials[s], x, y),
             e_value(ladder, x, y),
             eps,
         )

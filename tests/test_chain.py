@@ -3,15 +3,20 @@ import pytest
 
 from reflectwalk import (
     HorizonTooLarge,
+    InvalidInput,
+    ascent_joint_table,
+    descent_joint_table,
     excursion_series,
     excursion_table,
     n_step_series,
     n_step_table,
     reflection_time_table,
+    stay_series,
     step_row,
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
+from reflectwalk.chain import STREAMING_N_MAX_CAP
 from conftest import random_laws
 
 
@@ -145,3 +150,33 @@ class TestIdentities:
             assert verify_first_reflection_identity(law, 2, 1, 40) < 1e-12
             res_e, res_r = verify_ladder_factorizations(law, 2, 1, 40)
             assert res_e < 1e-12 and res_r < 1e-12
+
+
+# every streamed builder, as (law, start, horizon) -> result
+STREAMED = {
+    "n_step_series": lambda law, x, n: n_step_series(law, x, [0], n),
+    "excursion_series": lambda law, x, n: excursion_series(law, x, [0], n),
+    "stay_series": lambda law, x, n: stay_series(law, [0], n),
+    "descent_joint_table": lambda law, x, n: descent_joint_table(law, n),
+    "ascent_joint_table": lambda law, x, n: ascent_joint_table(law, n),
+}
+
+
+class TestStreamedInputChecks:
+    """The streamed builders share `_check_budget`: a bad start or horizon
+    raises a typed error before any step runs."""
+
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    def test_horizon_cap(self, name, law_a):
+        with pytest.raises(HorizonTooLarge):
+            STREAMED[name](law_a, 0, STREAMING_N_MAX_CAP + 1)
+
+    @pytest.mark.parametrize("name", sorted(STREAMED))
+    def test_negative_horizon(self, name, law_a):
+        with pytest.raises(InvalidInput):
+            STREAMED[name](law_a, 0, -1)
+
+    @pytest.mark.parametrize("name", ["n_step_series", "excursion_series"])
+    def test_negative_start(self, name, law_a):
+        with pytest.raises(InvalidInput):
+            STREAMED[name](law_a, -1, 5)

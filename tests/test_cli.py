@@ -1,12 +1,20 @@
+import contextlib
+import io
 import json
+import math
 import os
+import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from reflectwalk import descent_joint_table, excursion_series, ladder_laws, load_law
-from reflectwalk.cli import _centered_base, main
+from reflectwalk import descent_joint_table, excursion_series, ladder_laws, load_law, n_step_table
+from reflectwalk.cli import _centered_base, _emit_csv, _exact_block, main
 from reflectwalk.reflection import e_value
 from conftest import golden_mismatch
 
@@ -217,6 +225,12 @@ class TestSimulateAndCompare:
         assert out == ""
         assert err.count("\n") == 1 and "cap" in err
 
+    def test_ladder_oracle_cap_is_one_line(self, capsys):
+        code, out, err = run(["ladder", "--law", LAW_A, "--oracle", "50001"], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and "cap" in err
+
     def test_compare_table(self, capsys):
         argv = ["compare", "--law", LAW_A, "--y", "0", "--n-max", "512",
                 "--paths", "20000", "--seed", "3"]
@@ -232,3 +246,88 @@ class TestSimulateAndCompare:
         # MC column sits within 4 stderr of exact
         for r in rows:
             assert abs(float(r[3]) - float(r[1])) < 4 * max(float(r[4]), 1e-9)
+
+
+def reference_line(row) -> str:
+    """The CSV line of one row as the per-value formatter wrote it: floats
+    with 12 significant digits, everything else through str."""
+    return ",".join(f"{v:.12g}" if isinstance(v, float) else str(v) for v in row) + "\n"
+
+
+def write_csv(blocks) -> str:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        _emit_csv("h", blocks)
+    return buf.getvalue()
+
+
+def reference_exact(table) -> str:
+    lines = ["n,y,probability\n"]
+    for n, row in enumerate(table.rows):
+        lines += [reference_line((n, y, float(row[y]))) for y in range(row.shape[0]) if row[y] != 0.0]
+    return "".join(lines)
+
+
+# %g switches notation at exponents -5 and 12; 12 digits round some values across
+SWITCH_POINTS = [
+    1e-5, 1e-4, 9.99999999999e-5, 9.999999999995e-5, 0.5e-4,
+    1e12, 999999999999.5, 999999999999.0, 1e11, 5e-324, 2.2250738585072014e-308,
+]
+SWITCH_POINTS += [math.nextafter(v, d) for v in (1e-5, 1e-4, 1e12) for d in (0.0, math.inf)]
+CELLS = st.one_of(
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(SWITCH_POINTS),
+)
+
+
+class TestCsvWriter:
+    """`_emit_csv` writes the bytes the per-value formatter wrote."""
+
+    @given(st.lists(CELLS, min_size=1, max_size=8))
+    def test_row_template_matches_per_value_line(self, row):
+        template = ",".join("%.12g" if isinstance(v, float) else "%d" for v in row) + "\n"
+        assert write_csv([(template, tuple(row))]) == "h\n" + reference_line(row)
+
+    @given(
+        st.integers(0, 10**6),
+        st.lists(
+            st.one_of(
+                st.just(0.0),
+                st.floats(0.0, 1.0, allow_subnormal=True),
+                st.sampled_from(SWITCH_POINTS),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @example(7, [0.0, 5e-324, 1e-5, 0.0, 1.0])
+    def test_exact_block_matches_per_value_lines(self, n, values):
+        row = np.array(values)
+        expected = "".join(
+            reference_line((n, y, v)) for y, v in enumerate(row.tolist()) if v != 0.0
+        )
+        assert write_csv([_exact_block(n, row)]) == "h\n" + expected
+
+    def test_exact_on_random_law_matches_reference(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        masses = rng.dirichlet(np.ones(17))
+        path = tmp_path / "law.json"
+        path.write_text(json.dumps({"masses": {str(k - 8): float(m) for k, m in enumerate(masses)}}))
+        code, out, _ = run(["exact", "--law", str(path), "--start", "3", "--n", "30"], capsys)
+        assert code == 0
+        assert out == reference_exact(n_step_table(load_law(str(path)), 3, 30))
+
+
+def test_exact_memory_stays_near_the_stored_table(tmp_path, monkeypatch):
+    """`exact` holds the DP table plus one row's text, not every row's tuples."""
+    table_bytes = sum(row.nbytes for row in n_step_table(load_law(LAW_A), 0, 400).rows)
+    with open(tmp_path / "exact.csv", "w") as out:
+        monkeypatch.setattr(sys, "stdout", out)
+        tracemalloc.start()
+        try:
+            assert main(["exact", "--law", LAW_A, "--start", "0", "--n", "400"]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2 * table_bytes

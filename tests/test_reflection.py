@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from reflectwalk import (
+    InvalidInput,
     NotInvertibleCentered,
     SingularSystem,
     build_reflection_core,
@@ -26,7 +27,7 @@ from reflectwalk import (
     stationary_nu,
     tilt,
 )
-from reflectwalk import wiener_hopf
+from reflectwalk import reflection, wiener_hopf
 from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
@@ -37,7 +38,7 @@ from reflectwalk.reflection import (
     r_rows,
     r_tilde_row,
 )
-from reflectwalk.wiener_hopf import RICHARDSON_EPS, richardson_slope
+from reflectwalk.wiener_hopf import RICHARDSON_EPS, richardson_slope, u_minus_at, u_plus_at
 from conftest import random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -357,6 +358,31 @@ class TestSharedOracleWork:
             assert excursion_slope_oracle_error(
                 ladder, table, y, xs
             ) == reference_excursion_error(ladder, table, y, xs)
+
+    @pytest.mark.parametrize("name", ["p5", "asym", "random8"])
+    def test_excursion_oracle_builds_each_potential_once_per_s(self, systems, name, monkeypatch):
+        ladder, table = systems[name]
+        xs = [2 * ladder.a + 3, 0, ladder.a, 1]
+        builds = []
+        for fn in (u_minus_at, u_plus_at):
+            def counted(fp, depth, fn=fn):
+                builds.append((fn.__name__, depth))
+                return fn(fp, depth)
+            monkeypatch.setattr(reflection, fn.__name__, counted)
+        got = {}
+        for y in (0, 2, 5):
+            builds.clear()
+            got[y] = excursion_slope_oracle_error(ladder, table, y, xs)
+            assert sorted(builds) == [("u_minus_at", max(xs))] * 2 + [("u_plus_at", y)] * 2
+        monkeypatch.undo()
+        # the reference builds both potentials afresh for each x, to depths x and y
+        for y, err in got.items():
+            assert err == reference_excursion_error(ladder, table, y, xs)
+
+    def test_excursion_oracle_rejects_a_negative_start(self, systems):
+        ladder, table = systems["p5"]
+        with pytest.raises(InvalidInput):
+            excursion_slope_oracle_error(ladder, table, 0, [2, -1])
 
     def test_ladder_keeps_its_s1_pair(self, systems):
         ladder, _ = systems["asym"]
