@@ -11,7 +11,6 @@ import numpy as np
 
 from reflectwalk import (
     SimConfig,
-    estimate_pxy,
     law_from_masses,
     n_step_table,
     simulate,
@@ -32,7 +31,7 @@ print("\n== estimates vs exact DP ==")
 table = n_step_table(law, 0, 40)
 print("   y   exact        MC estimate  z-score")
 for y in (8, 10, 12, 14, 16):
-    est = estimate_pxy(config, y)
+    est = first.estimate(y)
     exact = table.prob(40, y)
     z = (est.point - exact) / est.stderr if est.stderr else 0.0
     print(f"  {y:2d}   {exact:.6f}     {est.point:.6f}     {z:+.2f}")

@@ -34,7 +34,6 @@ from .chain import (
 )
 from .errors import (
     ConvergenceFailure,
-    HorizonMismatch,
     HorizonTooLarge,
     InvalidInput,
     InvalidLaw,
@@ -86,7 +85,7 @@ from .reflection import (
     resolvent_apply,
     stationary_nu,
 )
-from .series import TruncatedSeries, delta_series, zero_series
+from .series import TruncatedSeries
 from .wiener_hopf import (
     FactorPair,
     LadderSystem,

@@ -1,13 +1,18 @@
 """Exact finite-horizon evolution of the reflected chain X_{n+1} = |X_n + Y|.
 
-Three tables share one stepping core: the full reflected law, the excursion
-(walk killed when it would go below 0), and the first-reflection law (time
-and landing point of the kill). The stepping here is a fixed-order
-shift-and-add that accumulates the kernel taps first-last. The DP in
-`fluctuation` is a fixed-order shift-and-add too, but with the opposite tap
-order, so the two modules round along different paths and the identity
-checks between them are not vacuous. Both are elementwise, so their rows are
-the same bits on every IEEE-754 build.
+Every exact law in the package comes from one DP engine: the step kernel
+`_shift_add` and the stepping generator `_evolve`. A walk steps a row of
+masses over the states 0, 1, ... by one increment; landings below 0 either
+fold onto their absolute value (the reflected chain) or are killed and
+reported (the excursion, the first reflection, the ladder epochs). The
+builders here and in `fluctuation` only pick the walk and read its rows.
+
+The kernel is a fixed-order shift-and-add: it is elementwise, so its rows
+are the same bits on every IEEE-754 build. The builders of this module sum
+the taps first-last, those of `fluctuation` last-first. So the two modules
+round along different paths and the identity checks between them are not
+vacuous. `_evolve` checks the start, horizon and size of every walk in
+`_check_budget`, the one place that holds the caps.
 """
 
 from __future__ import annotations
@@ -22,7 +27,8 @@ from .laws import LatticeLaw
 from .series import TruncatedSeries
 
 MEMORY_CAP_FLOATS = 50_000_000
-DEFAULT_N_MAX_CAP = 10_000
+DEFAULT_N_MAX_CAP = 10_000  # stored tables
+STREAMING_N_MAX_CAP = 50_000  # streamed walks
 
 
 class TableKind(Enum):
@@ -61,26 +67,31 @@ def step_row(law: LatticeLaw, x: int) -> StepRow:
     return StepRow(x, entries)
 
 
-def _spread(row: np.ndarray, law: LatticeLaw) -> np.ndarray:
-    """Free-walk landings of one step: output index t holds the mass at t - a.
+def _shift_add(row: np.ndarray, taps: list, order: range) -> np.ndarray:
+    """Full linear convolution, out[t] = sum_k taps[k] * row[t - k].
 
-    Taps are added first-last (mu(lo) first); `fluctuation._shift_add` adds
-    them in the opposite order.
+    The taps are summed in `order`: the first writes its products, each later
+    nonzero tap adds its own. Fixing the order fixes the bits. A law's outer
+    masses are positive, so the first tap of either order is never skipped.
     """
     length = row.shape[0]
-    full = np.zeros(length + law.a + law.b)
-    for idx, mk in enumerate(law.masses):
-        if mk != 0.0:
-            full[idx : idx + length] += mk * row
-    return full
+    out = np.zeros(length + len(taps) - 1)
+    k = order[0]
+    np.multiply(row, taps[k], out=out[k : k + length])
+    product = np.empty(length)
+    for k in order[1:]:
+        if taps[k] != 0.0:
+            seg = out[k : k + length]
+            np.add(seg, np.multiply(row, taps[k], out=product), out=seg)
+    return out
 
 
 def _trim_tail(row: np.ndarray) -> np.ndarray:
     """Drop the trailing exact zeros of a row (keeping one entry).
 
     The far tail of a DP row underflows to 0.0 long before the row stops
-    growing. A zero adds nothing to any later sum, so the streaming builders
-    trim it without changing a single bit of what they return.
+    growing. A zero adds nothing to any later sum, so the streamed walks trim
+    it without changing a single bit of what they return.
     """
     end = row.shape[0]
     while end > 1 and row[end - 1] == 0.0:
@@ -88,22 +99,76 @@ def _trim_tail(row: np.ndarray) -> np.ndarray:
     return row[:end]
 
 
-def _fold_step(row: np.ndarray, law: LatticeLaw) -> np.ndarray:
-    """One reflected step: negative landings fold onto their absolute value."""
-    a = law.a
-    full = _spread(row, law)
-    width = max(full.shape[0] - a, a + 1)
-    out = np.zeros(width)
-    out[: full.shape[0] - a] = full[a:]
-    out[1 : a + 1] += full[:a][::-1]
-    return out
+def _check_budget(x: int, n_max: int, a: int, b: int, stored: bool):
+    """The one input check of every DP walk: x and n_max nonnegative, n_max
+    under its cap (DEFAULT_N_MAX_CAP for stored rows, STREAMING_N_MAX_CAP for
+    streamed ones) and the float estimate under MEMORY_CAP_FLOATS."""
+    if x < 0:
+        raise InvalidInput(f"start state must be >= 0, got {x}")
+    if n_max < 0:
+        raise InvalidInput(f"horizon n_max must be >= 0, got {n_max}")
+    n_cap = DEFAULT_N_MAX_CAP if stored else STREAMING_N_MAX_CAP
+    if n_max > n_cap:
+        raise HorizonTooLarge(f"n_max {n_max} exceeds cap {n_cap}")
+    if stored:
+        estimate = (x + 1) * (n_max + 1) + b * n_max * (n_max + 1) // 2
+    else:  # only a fixed-width slice is retained per step
+        estimate = (a + 1) * (n_max + 1) + x + b * n_max
+    if estimate > MEMORY_CAP_FLOATS:
+        raise HorizonTooLarge(f"table would hold ~{estimate} floats, cap {MEMORY_CAP_FLOATS}")
 
 
-def _kill_step(row: np.ndarray, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
-    """One killed step: returns (surviving row, kill masses at w = 1..a)."""
-    a = law.a
-    full = _spread(row, law)
-    return full[a:], full[:a][::-1]
+def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
+            fold: bool = False, last_first: bool = False, stored: bool = False):
+    """The one DP stepping loop: an iterator of (row, killed) for n = 0..n_max.
+
+    `start` is a start state x or a start row. Tap k of `taps` moves mass by
+    k - offset, so a step lands below 0 at up to `offset` = a states. With
+    `fold` those landings add onto their absolute value and killed is None;
+    otherwise killed[w - 1] is the mass landing on -w (zeros at n = 0), a view
+    into the step. The taps are summed last-first if `last_first`, else
+    first-last. A stored walk keeps every row whole and has the stored caps; a
+    streamed one trims each row's zero tail. The budget is checked here, at
+    the call, so callers may allocate for n_max before the first step.
+    """
+    if isinstance(start, np.ndarray):
+        row, x = start, start.shape[0] - 1
+    else:
+        row, x = None, start
+    a = offset
+    _check_budget(x, n_max, a, len(taps) - 1 - a, stored)
+    if row is None:
+        row = np.zeros(x + 1)
+        row[x] = 1.0
+    order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
+    taps = taps.tolist()
+
+    def steps(row):
+        yield row, None if fold else np.zeros(a)
+        for _ in range(n_max):
+            out = _shift_add(row, taps, order)
+            row, killed = out[a:], out[:a][::-1]
+            if fold:
+                if row.shape[0] <= a:
+                    row = np.concatenate((row, np.zeros(a + 1 - row.shape[0])))
+                row[1 : a + 1] += killed
+                killed = None
+            if not stored:
+                row = _trim_tail(row)
+            yield row, killed
+
+    return steps(row)
+
+
+def _columns(walk, ys, n_max: int) -> dict[int, TruncatedSeries]:
+    """Entries y of a walk's rows as series in n (0 where a row is too short)."""
+    ys = sorted(set(int(y) for y in ys))
+    out = np.zeros((len(ys), n_max + 1))
+    for n, (row, _) in enumerate(walk):
+        for i, y in enumerate(ys):
+            if 0 <= y < row.shape[0]:
+                out[i, n] = row[y]
+    return {y: TruncatedSeries(out[i]) for i, y in enumerate(ys)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,120 +203,46 @@ class EvolutionTable:
         return TruncatedSeries(np.array([self.prob(n, y) for n in range(len(self.rows))]))
 
 
-STREAMING_N_MAX_CAP = 50_000
-
-
-def _check_budget(
-    law: LatticeLaw, x: int, n_max: int, memory_cap: int, full_rows: bool = True
-):
-    """The one input check of every DP builder: x and n_max nonnegative, n_max
-    under its cap (DEFAULT_N_MAX_CAP for stored tables, STREAMING_N_MAX_CAP for
-    streamed rows) and the float estimate under memory_cap."""
-    if x < 0:
-        raise InvalidInput(f"start state must be >= 0, got {x}")
-    if n_max < 0:
-        raise InvalidInput(f"horizon n_max must be >= 0, got {n_max}")
-    n_cap = DEFAULT_N_MAX_CAP if full_rows else STREAMING_N_MAX_CAP
-    if n_max > n_cap:
-        raise HorizonTooLarge(f"n_max {n_max} exceeds cap {n_cap}")
-    if full_rows:
-        estimate = (x + 1) * (n_max + 1) + law.b * n_max * (n_max + 1) // 2
-    else:  # only a fixed-width slice is retained per step
-        estimate = (law.a + 1) * (n_max + 1) + x + law.b * n_max
-    if estimate > memory_cap:
-        raise HorizonTooLarge(f"table would hold ~{estimate} floats, cap {memory_cap}")
-
-
 def _freeze(rows: list[np.ndarray]) -> tuple:
     for r in rows:
         r.flags.writeable = False
     return tuple(rows)
 
 
-def n_step_table(
-    law: LatticeLaw, x: int, n_max: int, memory_cap: int = MEMORY_CAP_FLOATS
-) -> EvolutionTable:
+def n_step_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
     """Exact laws of X_0..X_{n_max} started at x."""
-    _check_budget(law, x, n_max, memory_cap)
-    row = np.zeros(x + 1)
-    row[x] = 1.0
-    rows = [row]
-    for _ in range(n_max):
-        row = _fold_step(row, law)
-        rows.append(row)
-    return EvolutionTable(TableKind.FULL, law, x, _freeze(rows))
+    walk = _evolve(x, law.masses, law.a, n_max, fold=True, stored=True)
+    return EvolutionTable(TableKind.FULL, law, x, _freeze([row for row, _ in walk]))
 
 
-def excursion_table(
-    law: LatticeLaw, x: int, n_max: int, memory_cap: int = MEMORY_CAP_FLOATS
-) -> EvolutionTable:
+def excursion_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
     """Laws of the walk killed when it would step below 0 (pre-reflection piece)."""
-    _check_budget(law, x, n_max, memory_cap)
-    row = np.zeros(x + 1)
-    row[x] = 1.0
-    rows = [row]
-    for _ in range(n_max):
-        row, _ = _kill_step(row, law)
-        rows.append(row)
-    return EvolutionTable(TableKind.EXCURSION, law, x, _freeze(rows))
+    walk = _evolve(x, law.masses, law.a, n_max, stored=True)
+    return EvolutionTable(TableKind.EXCURSION, law, x, _freeze([row for row, _ in walk]))
 
 
-def reflection_time_table(
-    law: LatticeLaw, x: int, n_max: int, memory_cap: int = MEMORY_CAP_FLOATS
-) -> EvolutionTable:
+def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
     """Joint law of (first reflection time, landing point w in [1, a])."""
-    _check_budget(law, x, n_max, memory_cap, full_rows=False)
-    row = np.zeros(x + 1)
-    row[x] = 1.0
-    rows = [np.zeros(law.a)]
-    for _ in range(n_max):
-        row, killed = _kill_step(row, law)
-        rows.append(killed)
+    walk = _evolve(x, law.masses, law.a, n_max)
+    # copies: a view of each step would keep the whole step alive
+    rows = [killed.copy() for _, killed in walk]
     return EvolutionTable(TableKind.REFLECTION_TIME, law, x, _freeze(rows))
 
 
-def n_step_series(
-    law: LatticeLaw, x: int, ys, n_max: int, memory_cap: int = MEMORY_CAP_FLOATS
-) -> dict[int, TruncatedSeries]:
+def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, TruncatedSeries]:
     """Columns of the reflected n-step table as series, streamed row by row.
 
     Holds only the current row, so horizons beyond the full-table memory cap
     are fine (the asymptotics oracles need them for laws with rho near 1).
     """
-    _check_budget(law, x, n_max, memory_cap, full_rows=False)
-    ys = sorted(set(int(y) for y in ys))
-    out = np.zeros((len(ys), n_max + 1))
-    row = np.zeros(x + 1)
-    row[x] = 1.0
-    for i, y in enumerate(ys):
-        if y == x:
-            out[i, 0] = 1.0
-    for n in range(1, n_max + 1):
-        row = _trim_tail(_fold_step(row, law))
-        for i, y in enumerate(ys):
-            if 0 <= y < row.shape[0]:
-                out[i, n] = row[y]
-    return {y: TruncatedSeries(out[i]) for i, y in enumerate(ys)}
+    return _columns(_evolve(x, law.masses, law.a, n_max, fold=True), ys, n_max)
 
 
 def excursion_series(
     law: LatticeLaw, x: int, ys, n_max: int
 ) -> dict[int, TruncatedSeries]:
     """Columns of the excursion table as series, streamed without row storage."""
-    _check_budget(law, x, n_max, MEMORY_CAP_FLOATS, full_rows=False)
-    ys = sorted(set(int(y) for y in ys))
-    out = np.zeros((len(ys), n_max + 1))
-    row = np.zeros(x + 1)
-    row[x] = 1.0
-    for i, y in enumerate(ys):
-        if y == x:
-            out[i, 0] = 1.0
-    for n in range(1, n_max + 1):
-        row = _trim_tail(_kill_step(row, law)[0])
-        for i, y in enumerate(ys):
-            if 0 <= y < row.shape[0]:
-                out[i, n] = row[y]
-    return {y: TruncatedSeries(out[i]) for i, y in enumerate(ys)}
+    return _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max)
 
 
 def verify_first_reflection_identity(

@@ -21,10 +21,6 @@ class HorizonTooLarge(ReflectWalkError):
     """A dynamic-programming table would exceed the memory cap."""
 
 
-class HorizonMismatch(ReflectWalkError):
-    """Truncated series operands have different horizons."""
-
-
 class RootClusterUnresolved(ReflectWalkError):
     """A factorization root sits too close to the unit circle to classify."""
 

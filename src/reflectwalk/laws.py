@@ -79,10 +79,6 @@ class LatticeLaw:
     def as_dict(self) -> dict[int, float]:
         return {self.lo + i: float(m) for i, m in enumerate(self.masses) if m != 0}
 
-    def key(self) -> tuple:
-        """Hashable identity, used for caching and digests."""
-        return (self.lo, self.hi, tuple(float(m) for m in self.masses))
-
     def __repr__(self):
         inner = ", ".join(f"{k}: {m!r}" for k, m in self.as_dict().items())
         return f"LatticeLaw({{{inner}}})"

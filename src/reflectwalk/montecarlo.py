@@ -27,7 +27,6 @@ _BLOCK_PATHS = 16_384
 # Draws per path per Philox call; must stay 4-aligned for the substream layout.
 # 64 keeps a block's Philox temporaries and increments in cache.
 _CHUNK_DRAWS = 64
-_CACHE_LIMIT = 32
 
 # Caps on a config. States are held as int32, which STATE_CAP keeps safe.
 PATH_STEPS_CAP = 1_000_000_000  # paths * horizon
@@ -61,9 +60,6 @@ class SimConfig:
         reach = self.start + self.law.b * self.horizon
         if reach > STATE_CAP:
             raise HorizonTooLarge(f"start + b * horizon = {reach} exceeds cap {STATE_CAP}")
-
-    def key(self) -> tuple:
-        return (self.law.key(), self.start, self.horizon, self.paths, self.seed)
 
 
 @dataclass(frozen=True)
@@ -254,21 +250,12 @@ def simulate(config: SimConfig, checkpoints=()) -> SimResult:
     )
 
 
-_sim_cache: dict[tuple, SimResult] = {}
-
-
-def _simulate_cached(config: SimConfig) -> SimResult:
-    key = config.key()
-    if key not in _sim_cache:
-        if len(_sim_cache) >= _CACHE_LIMIT:
-            _sim_cache.clear()
-        _sim_cache[key] = simulate(config)
-    return _sim_cache[key]
-
-
 def estimate_pxy(config: SimConfig, y: int) -> Estimate:
-    """Empirical P[X_horizon = y] with its binomial standard error."""
-    return _simulate_cached(config).estimate(y)
+    """Empirical P[X_horizon = y] with its binomial standard error.
+
+    Runs the whole simulation; for several y, call `simulate` once and read
+    each from `SimResult.estimate`."""
+    return simulate(config).estimate(y)
 
 
 def _landing_block(config, increments, burnin, lo, hi):

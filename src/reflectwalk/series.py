@@ -1,7 +1,7 @@
 """Truncated power series in the time variable s, the carrier for all transforms.
 
-Coefficients are held for exponents 0..n_max. Operations never read beyond
-the horizon; the Cauchy product is exact for the retained coefficients.
+Coefficients are held for exponents 0..n_max; nothing reads beyond the
+horizon.
 """
 
 from __future__ import annotations
@@ -9,8 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import HorizonMismatch
 
 
 @dataclass(frozen=True, eq=False)
@@ -28,31 +26,6 @@ class TruncatedSeries:
 
     def __getitem__(self, n: int) -> float:
         return float(self.coeffs[n])
-
-    def _check(self, other: "TruncatedSeries"):
-        if self.n_max != other.n_max:
-            raise HorizonMismatch(f"horizons differ: {self.n_max} vs {other.n_max}")
-
-    def add(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(self.coeffs + other.coeffs)
-
-    def sub(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(self.coeffs - other.coeffs)
-
-    def scale(self, c: float) -> "TruncatedSeries":
-        return TruncatedSeries(self.coeffs * c)
-
-    def mul(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        """Cauchy product truncated at the common horizon."""
-        self._check(other)
-        full = np.convolve(self.coeffs, other.coeffs)
-        return TruncatedSeries(full[: self.n_max + 1])
-
-    __add__ = add
-    __sub__ = sub
-    __mul__ = mul
 
     def evaluate(self, s: float) -> float:
         """Horner evaluation of the truncated polynomial at s."""
@@ -76,14 +49,3 @@ class TruncatedSeries:
         """Cumulative sums of the coefficients (evaluation at s = 1, by stage)."""
         return np.cumsum(self.coeffs)
 
-
-def zero_series(n_max: int) -> TruncatedSeries:
-    return TruncatedSeries(np.zeros(n_max + 1))
-
-
-def delta_series(n: int, n_max: int, value: float = 1.0) -> TruncatedSeries:
-    """Monomial value * s^n as a truncated series."""
-    coeffs = np.zeros(n_max + 1)
-    if 0 <= n <= n_max:
-        coeffs[n] = value
-    return TruncatedSeries(coeffs)

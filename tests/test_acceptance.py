@@ -20,7 +20,6 @@ from reflectwalk import (
     drifted_constant,
     dominant_eigenvalue,
     estimate_nu,
-    estimate_pxy,
     factorize_at,
     ladder_laws,
     law_from_masses,
@@ -30,6 +29,7 @@ from reflectwalk import (
     r_core,
     r_row_at_s,
     roots_z_pm,
+    simulate,
     slopes,
     stationary_nu,
     tilt,
@@ -193,9 +193,11 @@ def test_13_mc_exact_calibration():
                    for d in (-2, -1, 0, 1, 2)]
         for law, pairs, seed in ((LAW_A, pairs_a, 501), (LAW_B, pairs_b, 502)):
             assert len(pairs) == 20
-            tables = {n: n_step_table(law, 0, n) for n in {p[0] for p in pairs}}
+            horizons = {p[0] for p in pairs}
+            tables = {n: n_step_table(law, 0, n) for n in horizons}
+            runs = {n: simulate(SimConfig(law, 0, n, 200_000, seed)) for n in horizons}
             for n, y in pairs:
-                est = estimate_pxy(SimConfig(law, 0, n, 200_000, seed), y)
+                est = runs[n].estimate(y)
                 exact = tables[n].prob(n, y)
                 assert abs(est.point - exact) <= 4 * max(est.stderr, 1e-9)
 

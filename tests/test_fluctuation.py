@@ -9,19 +9,23 @@ from reflectwalk import (
     descent_joint_table,
     ladder_laws,
     law_from_masses,
+    n_step_table,
     stay_nonneg_table,
     stay_series,
 )
-from reflectwalk.fluctuation import _halfline_step, _negative_step
+import reflectwalk.chain as chain
+from reflectwalk.chain import _evolve, _shift_add
 from conftest import random_laws
 
 
-def _reference_shift_add(row, kernel):
-    """Plain-Python convolution; out[t] adds the taps from the last to the first."""
+def _reference_shift_add(row, kernel, last_first=True):
+    """Plain-Python convolution; out[t] adds the taps from the last to the
+    first, or from the first to the last."""
+    order = range(len(kernel) - 1, -1, -1) if last_first else range(len(kernel))
     out = []
     for t in range(len(row) + len(kernel) - 1):
         acc = 0.0
-        for k in range(len(kernel) - 1, -1, -1):
+        for k in order:
             if 0 <= t - k < len(row) and kernel[k] != 0.0:
                 acc += kernel[k] * row[t - k]
         out.append(acc)
@@ -35,12 +39,22 @@ class TestStepKernel:
     LAW = law_from_masses({-2: 0.13, -1: 0.21, 0: 0.17, 1: 0.34, 2: 0.0, 3: 0.15})
     STEPS = 40
 
+    def test_kernel_both_tap_orders(self):
+        taps = self.LAW.masses.tolist()
+        rng = np.random.default_rng(3)
+        for length in (1, 2, 7, 30):
+            row = rng.random(length)
+            for last_first in (True, False):
+                order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
+                got = _shift_add(row, taps, order).tolist()
+                assert got == _reference_shift_add(row.tolist(), taps, last_first)
+
     def test_halfline_step_fixed_order(self):
         law, a = self.LAW, self.LAW.a
         masses = law.masses.tolist()
-        row = np.array([1.0])
-        for _ in range(self.STEPS):
-            nxt, dropped = _halfline_step(row, law)
+        walk = _evolve(0, law.masses, a, self.STEPS, last_first=True, stored=True)
+        row, _ = next(walk)
+        for nxt, dropped in walk:
             full = _reference_shift_add(row.tolist(), masses)
             assert nxt.tolist() == full[a:]
             assert dropped.tolist() == full[:a][::-1]
@@ -53,8 +67,9 @@ class TestStepKernel:
         law, b = self.LAW, self.LAW.b
         flipped = law.masses[::-1].tolist()
         h = np.array([law.mass(-1 - i) for i in range(law.a)])
-        for _ in range(self.STEPS):
-            nxt, exits = _negative_step(h, law)
+        walk = _evolve(h, law.masses[::-1], b, self.STEPS, last_first=True, stored=True)
+        next(walk)
+        for nxt, exits in walk:
             full = _reference_shift_add(h.tolist(), flipped)
             assert nxt.tolist() == full[b:]
             assert exits.tolist() == full[b - 1 :: -1][:b]
@@ -62,6 +77,29 @@ class TestStepKernel:
             np.testing.assert_allclose(nxt, conv[b:], rtol=1e-15, atol=0)
             np.testing.assert_allclose(exits, conv[b - 1 :: -1][:b], rtol=1e-15, atol=0)
             h = nxt
+
+    def test_fold_step_fixed_order(self):
+        law, a = self.LAW, self.LAW.a
+        masses = law.masses.tolist()
+        table = n_step_table(law, 2, self.STEPS)
+        for n in range(self.STEPS):
+            full = _reference_shift_add(table.rows[n].tolist(), masses, last_first=False)
+            folded = full[a:] + [0.0] * (a + 1 - len(full[a:]))
+            for y in range(1, a + 1):
+                folded[y] += full[a - y]
+            assert table.rows[n + 1].tolist() == folded
+
+    def test_ascent_is_mirrored_descent(self, law_p5):
+        # the negative side of the weak ascent, stepped in plain Python
+        n_max, b = 120, law_p5.b
+        flipped = law_p5.masses[::-1].tolist()
+        series = ascent_joint_table(law_p5, n_max)
+        assert [series[j][1] for j in range(b + 1)] == [law_p5.mass(j) for j in range(b + 1)]
+        h = [law_p5.mass(-1 - i) for i in range(law_p5.a)]
+        for n in range(2, n_max + 1):
+            full = _reference_shift_add(h, flipped)
+            h, exits = full[b:], full[b - 1 :: -1]
+            assert [series[j][n] for j in range(b + 1)] == exits + [0.0]
 
 
 class TestStreamingTrim:
@@ -83,10 +121,14 @@ class TestStreamingTrim:
 
     def test_ascent_matches_untrimmed_recursion(self, law_p5):
         series = ascent_joint_table(law_p5, self.N)
+        b = law_p5.b
+        flipped = law_p5.masses[::-1].tolist()
+        order = range(len(flipped) - 1, -1, -1)
         h = np.array([law_p5.mass(-1 - i) for i in range(law_p5.a)])
         for n in range(2, self.N + 1):
-            h, exits = _negative_step(h, law_p5)
-            assert exits.tolist() == [series[j][n] for j in range(law_p5.b)]
+            full = _shift_add(h, flipped, order)
+            h, exits = full[b:], full[:b][::-1]
+            assert exits.tolist() == [series[j][n] for j in range(b)]
         assert h[-1] == 0.0
 
 
@@ -117,9 +159,19 @@ class TestStayTable:
                     table.row_total(n - 1), abs=1e-14
                 )
 
-    def test_memory_guard(self, law_a):
+    def test_memory_guard(self, law_a, monkeypatch):
+        monkeypatch.setattr(chain, "MEMORY_CAP_FLOATS", 1000)
         with pytest.raises(HorizonTooLarge):
-            stay_nonneg_table(law_a, 200, memory_cap=1000)
+            stay_nonneg_table(law_a, 200)
+
+    def test_horizon_cap_before_any_step(self, law_a, monkeypatch):
+        # the stored tables share one horizon cap, checked before the first step
+        def no_step(*args):
+            raise AssertionError("a DP step ran")
+
+        monkeypatch.setattr(chain, "_shift_add", no_step)
+        with pytest.raises(HorizonTooLarge, match="n_max 10001 exceeds cap 10000"):
+            stay_nonneg_table(law_a, 10_001)
 
     def test_stay_series_matches_table(self, law_asym):
         table = stay_nonneg_table(law_asym, 40)

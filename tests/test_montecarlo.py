@@ -249,23 +249,24 @@ def test_guide_table_matches_searchsorted(case):
 
 class TestEstimatePxy:
     def test_time_zero_indicator(self, law_a):
-        est = estimate_pxy(SimConfig(law_a, 3, 0, 500, 1), 3)
+        result = simulate(SimConfig(law_a, 3, 0, 500, 1))
+        est = result.estimate(3)
         assert est.point == 1.0 and est.stderr == 0.0
-        est = estimate_pxy(SimConfig(law_a, 3, 0, 500, 1), 2)
+        est = result.estimate(2)
         assert est.point == 0.0 and est.stderr == 0.0
 
     def test_matches_dp_law_a(self, law_a):
-        config = SimConfig(law_a, 0, 50, 200_000, 7)
+        result = simulate(SimConfig(law_a, 0, 50, 200_000, 7))
         exact = n_step_table(law_a, 0, 50)
         for y in (0, 1, 2):
-            est = estimate_pxy(config, y)
+            est = result.estimate(y)
             assert abs(est.point - exact.prob(50, y)) < 4 * max(est.stderr, 1e-9)
 
     def test_matches_dp_law_b(self, law_b):
-        config = SimConfig(law_b, 0, 30, 200_000, 13)
+        result = simulate(SimConfig(law_b, 0, 30, 200_000, 13))
         exact = n_step_table(law_b, 0, 30)
         for y in (5, 9, 12):
-            est = estimate_pxy(config, y)
+            est = result.estimate(y)
             assert abs(est.point - exact.prob(30, y)) < 4 * max(est.stderr, 1e-9)
 
     def test_stderr_formula(self, law_a):
