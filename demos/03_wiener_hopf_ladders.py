@@ -40,7 +40,7 @@ print(f"renewal theorem: U^-(-k) -> 1/E[-ladder step] = {limit:.6f}; "
 print("\n== DP oracle closes in on the exact ladder law ==")
 series = descent_joint_table(law, 8000)
 for n in (100, 800, 8000):
-    partial = [round(float(s.coeffs[: n + 1].sum()), 6) for s in series]
+    partial = [round(float(s[: n + 1].sum()), 6) for s in series]
     print(f"  partial sums through n={n:5d}: {partial}")
 print(f"  exact values:                  {[round(float(m), 6) for m in ladder.mu_minus]}")
 

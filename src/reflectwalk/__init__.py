@@ -85,7 +85,6 @@ from .reflection import (
     resolvent_apply,
     stationary_nu,
 )
-from .series import TruncatedSeries
 from .wiener_hopf import (
     FactorPair,
     LadderSystem,

@@ -278,7 +278,7 @@ def oracle_constant_centered(
     law: LatticeLaw, y: int, x: int = 0, n_max: int = 4000
 ) -> float:
     """DP extrapolation of sqrt(n) P_x[X_n = y] against c0 + c1/sqrt(n)."""
-    column = n_step_series(law, x, [y], n_max)[y].coeffs
+    column = n_step_series(law, x, [y], n_max)[y]
     ns = np.arange(n_max // 2, n_max + 1)
     values = column[ns] * np.sqrt(ns)
     design = np.column_stack([np.ones_like(ns, dtype=float), 1.0 / np.sqrt(ns)])
@@ -303,7 +303,7 @@ def oracle_constant_drifted(
     """DP extrapolation of log P_x[X_n = y] - n log rho + 1.5 log n against c + d/n."""
     if n_max is None:
         n_max = drifted_oracle_horizon(rho)
-    column = n_step_series(law, x, [y], n_max)[y].coeffs
+    column = n_step_series(law, x, [y], n_max)[y]
     ns = np.arange(n_max // 2, n_max + 1)
     probs = column[ns]
     if np.any(probs <= 0):

@@ -6,6 +6,8 @@ masses over the states 0, 1, ... by one increment; landings below 0 either
 fold onto their absolute value (the reflected chain) or are killed and
 reported (the excursion, the first reflection, the ladder epochs). The
 builders here and in `fluctuation` only pick the walk and read its rows.
+A series in s is held as its coefficients: a read-only float64 array whose
+entry n is the coefficient of s^n, n = 0..n_max.
 
 The kernel is a fixed-order shift-and-add: it is elementwise, so its rows
 are the same bits on every IEEE-754 build. The builders of this module sum
@@ -24,7 +26,6 @@ import numpy as np
 
 from .errors import HorizonTooLarge, InvalidInput
 from .laws import LatticeLaw
-from .series import TruncatedSeries
 
 MEMORY_CAP_FLOATS = 50_000_000
 DEFAULT_N_MAX_CAP = 10_000  # stored tables
@@ -160,15 +161,18 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
     return steps(row)
 
 
-def _columns(walk, ys, n_max: int) -> dict[int, TruncatedSeries]:
-    """Entries y of a walk's rows as series in n (0 where a row is too short)."""
+def _columns(walk, ys, n_max: int) -> dict[int, np.ndarray]:
+    """Entries y of a walk's rows as series in n: {y: series}, where series[n]
+    is entry y of row n (0 where that row is too short). The series are the
+    rows of one read-only float64 array."""
     ys = sorted(set(int(y) for y in ys))
     out = np.zeros((len(ys), n_max + 1))
     for n, (row, _) in enumerate(walk):
         for i, y in enumerate(ys):
             if 0 <= y < row.shape[0]:
                 out[i, n] = row[y]
-    return {y: TruncatedSeries(out[i]) for i, y in enumerate(ys)}
+    out.flags.writeable = False
+    return dict(zip(ys, out))
 
 
 @dataclass(frozen=True, eq=False)
@@ -198,10 +202,6 @@ class EvolutionTable:
     def row_total(self, n: int) -> float:
         return float(np.sum(self.rows[n]))
 
-    def column(self, y: int) -> TruncatedSeries:
-        """Series in s whose coefficient n is prob(n, y)."""
-        return TruncatedSeries(np.array([self.prob(n, y) for n in range(len(self.rows))]))
-
 
 def _freeze(rows: list[np.ndarray]) -> tuple:
     for r in rows:
@@ -229,8 +229,9 @@ def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable
     return EvolutionTable(TableKind.REFLECTION_TIME, law, x, _freeze(rows))
 
 
-def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, TruncatedSeries]:
-    """Columns of the reflected n-step table as series, streamed row by row.
+def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
+    """Columns of the reflected n-step table as series, streamed row by row:
+    series y holds P_x[X_n = y] at index n = 0..n_max.
 
     Holds only the current row, so horizons beyond the full-table memory cap
     are fine (the asymptotics oracles need them for laws with rho near 1).
@@ -238,11 +239,21 @@ def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, Truncate
     return _columns(_evolve(x, law.masses, law.a, n_max, fold=True), ys, n_max)
 
 
-def excursion_series(
-    law: LatticeLaw, x: int, ys, n_max: int
-) -> dict[int, TruncatedSeries]:
+def excursion_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
     """Columns of the excursion table as series, streamed without row storage."""
     return _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max)
+
+
+def _killed_columns(law: LatticeLaw, x: int, y: int, n_max: int):
+    """One killed walk from x, read both ways: its excursion column y, and its
+    first-reflection columns, row w-1 the series of landing on w."""
+    exc = np.zeros(n_max + 1)
+    refl = np.zeros((law.a, n_max + 1))
+    for n, (row, killed) in enumerate(_evolve(x, law.masses, law.a, n_max)):
+        if 0 <= y < row.shape[0]:
+            exc[n] = row[y]
+        refl[:, n] = killed
+    return exc, refl
 
 
 def verify_first_reflection_identity(
@@ -254,16 +265,13 @@ def verify_first_reflection_identity(
         P_x[X_n = y] = P_x[X_n = y, no reflection yet]
                        + sum_{k<=n} sum_w P_x[first reflection at k lands on w] P_w[X_{n-k} = y].
     """
-    full_x = n_step_table(law, x, n_max).column(y).coeffs
-    exc_x = excursion_table(law, x, n_max).column(y).coeffs
-    refl = reflection_time_table(law, x, n_max)
-    rhs = exc_x.copy()
+    full_x = n_step_series(law, x, [y], n_max)[y]
+    rhs, refl = _killed_columns(law, x, y, n_max)
     for w in range(1, law.a + 1):
-        refl_col = refl.column(w).coeffs
-        if not np.any(refl_col):
+        if not np.any(refl[w - 1]):
             continue
-        full_w = n_step_table(law, w, n_max).column(y).coeffs
-        rhs += np.convolve(refl_col, full_w)[: n_max + 1]
+        full_w = n_step_series(law, w, [y], n_max)[y]
+        rhs += np.convolve(refl[w - 1], full_w)[: n_max + 1]
     return float(np.max(np.abs(full_x - rhs)))
 
 
@@ -280,17 +288,18 @@ def verify_ladder_factorizations(
     """
     from .fluctuation import descent_joint_table, stay_series
 
-    descent = descent_joint_table(law, n_max)  # index w-1: series of T(s|-w)
+    descent = descent_joint_table(law, n_max)  # row w-1: series of T(s|-w)
 
     def t_series(v: int) -> np.ndarray:
         # coefficients of T(s| v) for v <= -1
         if -law.a <= v <= -1:
-            return descent[-v - 1].coeffs
+            return descent[-v - 1]
         return np.zeros(n_max + 1)
 
-    exc_cols = [excursion_table(law, w, n_max).column(y).coeffs for w in range(x + 1)]
+    walks = [_killed_columns(law, w, y, n_max) for w in range(x + 1)]
+    exc_cols = [exc for exc, _ in walks]
     if y - x >= 0:
-        u_plus = stay_series(law, [y - x], n_max)[y - x].coeffs
+        u_plus = stay_series(law, [y - x], n_max)[y - x]
     else:
         u_plus = np.zeros(n_max + 1)
     rhs_e = u_plus.copy()
@@ -301,9 +310,8 @@ def verify_ladder_factorizations(
     if y < 1:
         return residual_e, 0.0
 
-    refl_cols = [
-        reflection_time_table(law, w, n_max).column(y).coeffs for w in range(x + 1)
-    ]
+    # landings lie in [1, a]: a column beyond a is zero
+    refl_cols = [refl[y - 1] if y <= law.a else np.zeros(n_max + 1) for _, refl in walks]
     rhs_r = t_series(-x - y).copy()
     for w in range(x):
         rhs_r += np.convolve(t_series(w - x), refl_cols[w])[: n_max + 1]

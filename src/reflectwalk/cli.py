@@ -19,6 +19,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    CenteredObjects,
     asymptotic_law,
     centered_objects,
     constant_report,
@@ -46,7 +47,7 @@ from .reflection import (
     kernel_slope_oracle_error,
     r_row_at_s,
 )
-from .wiener_hopf import ladder_laws, roots_z_pm, slopes
+from .wiener_hopf import default_depth, ladder_laws, roots_z_pm, slopes
 
 
 class UsageError(Exception):
@@ -117,10 +118,10 @@ def _cmd_ladder(args) -> int:
         mu = ladder_laws(base).mu_minus
         rows = []
         checkpoints = sorted({min(2**k, n) for k in range(0, 40) if 2**k <= n} | {n})
-        partials = [s.partial_sums() for s in table]
+        partials = np.cumsum(table, axis=1)
         for cp in checkpoints:
             for w in range(1, base.a + 1):
-                p = float(partials[w - 1][cp])
+                p = float(partials[w - 1, cp])
                 rows.append((cp, w, p, float(mu[w - 1]), float(mu[w - 1]) - p))
         _emit_csv("n,w,partial_sum,target,gap", (("%d,%d,%.12g,%.12g,%.12g\n", r) for r in rows))
         return 0
@@ -273,8 +274,9 @@ def _cmd_validate(args) -> int:
             {"name": name, "value": value, "threshold": threshold, "pass": bool(value < threshold)}
         )
 
-    # the s = 1 pair is the one the ladder laws come from
-    ladder = ladder_laws(base)
+    # the s = 1 pair is the one the ladder laws come from; the depth is the
+    # one the constant's own build would use, so its objects are these
+    ladder = ladder_laws(base, depth=default_depth(base, args.y))
     res = max(ladder.factor_pair(s).residual for s in (0.5, 0.9, 0.99, 1.0))
     add("wiener_hopf_residual", res, 1e-10)
 
@@ -293,10 +295,10 @@ def _cmd_validate(args) -> int:
     add("ladder_factorization_excursion", worst_e, 1e-12)
     add("ladder_factorization_reflection", worst_r, 1e-12)
 
-    partials = descent_joint_table(base, args.oracle_n)
+    descent = descent_joint_table(base, args.oracle_n)
     gaps = [
-        _exact_gap(float(ladder.mu_minus[w - 1]), s.coeffs)
-        for w, s in enumerate(partials, start=1)
+        _exact_gap(float(ladder.mu_minus[w - 1]), series)
+        for w, series in enumerate(descent, start=1)
     ]
     overshoot = max(-g for g in gaps)
     gap = max(gaps)
@@ -355,12 +357,13 @@ def _cmd_validate(args) -> int:
     # the tail of the excursion series decays like n^(-3/2), so the partial
     # sum at N sits ~ c/sqrt(N) below the closed form
     exc = excursion_series(base, 0, [0], 10_000)[0]
-    exc_gap = _exact_gap(e_value(ladder, 0, 0), exc.coeffs)
+    exc_gap = _exact_gap(e_value(ladder, 0, 0), exc)
     add("excursion_partial_below_closed", -exc_gap, 1e-12)
     add("excursion_partial_gap", exc_gap, 0.05)
 
     try:
-        rep = constant_report(law, 0, args.y, oracle_n=args.constant_n)
+        objects = CenteredObjects(ladder, table, core)
+        rep = constant_report(law, 0, args.y, oracle_n=args.constant_n, objects=objects)
         add("constant_vs_dp_rel_gap", rep["rel_gap"], 0.02 if not tilted else 0.05)
     except ReflectWalkError as exc2:
         checks.append(

@@ -9,7 +9,9 @@ Every builder here is a killed walk of the one DP engine in `chain`
 builders of `chain`. So the rows are the same bits on every IEEE-754 build,
 and the two modules still round along different paths, which keeps the
 identity checks between them from being vacuous. The weak ascent is the
-strict descent of the mirrored walk: kernel reversed, offset b.
+strict descent of the mirrored walk: kernel reversed, offset b. Each series
+is a read-only float64 array indexed by n, as in `chain`; the joint tables
+are 2-D, one row per landing point.
 """
 
 from __future__ import annotations
@@ -21,7 +23,6 @@ import numpy as np
 from .chain import _columns, _evolve, _freeze
 from .errors import InvalidInput
 from .laws import LatticeLaw
-from .series import TruncatedSeries
 
 
 @dataclass(frozen=True, eq=False)
@@ -56,30 +57,31 @@ def stay_nonneg_table(law: LatticeLaw, n_max: int) -> HalfLineTable:
     return HalfLineTable(law, n_max, _freeze([row for row, _ in steps]), descent)
 
 
-def descent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
-    """Series for (tau_strict_descent, landing point): entry w-1 of the list is
-    the series of P[tau = n, S_n = -w], w = 1..a. Streams the DP, so large
-    horizons are fine."""
+def descent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
+    """Series for (tau_strict_descent, landing point): a read-only (a, n_max + 1)
+    array whose row w-1 holds P[tau = n, S_n = -w] at index n, w = 1..a.
+    Streams the DP, so large horizons are fine."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
     walk = _descent_walk(law, n_max)
     coeffs = np.zeros((law.a, n_max + 1))
     for n, (_, killed) in enumerate(walk):
         coeffs[:, n] = killed
-    return [TruncatedSeries(c) for c in coeffs]
+    coeffs.flags.writeable = False
+    return coeffs
 
 
-def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, TruncatedSeries]:
+def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, np.ndarray]:
     """Columns of the stay-nonnegative table as series, streamed (row storage free).
 
-    Coefficient n of series y is P[tau_strict_descent > n, S_n = y].
+    Entry n of series y is P[tau_strict_descent > n, S_n = y].
     """
     return _columns(_descent_walk(law, n_max), ys, n_max)
 
 
-def ascent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
-    """Series for (tau_weak_ascent, landing point): entry j of the list is the
-    series of P[tau+ = n, S_n = j], j = 0..b."""
+def ascent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
+    """Series for (tau_weak_ascent, landing point): a read-only (b + 1, n_max + 1)
+    array whose row j holds P[tau+ = n, S_n = j] at index n, j = 0..b."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
     # After the first step, h[i] holds the mass at -1 - i that has not yet
@@ -93,4 +95,5 @@ def ascent_joint_table(law: LatticeLaw, n_max: int) -> list[TruncatedSeries]:
         coeffs[: law.b, n] = killed
     # first step leaves the origin: landing >= 0 means tau+ = 1
     coeffs[:, 1] = [law.mass(j) for j in range(law.b + 1)]
-    return [TruncatedSeries(c) for c in coeffs]
+    coeffs.flags.writeable = False
+    return coeffs

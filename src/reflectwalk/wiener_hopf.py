@@ -239,21 +239,7 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
         depth = default_depth(law)
     fp = factorize_at(law, 1.0)
     mu_minus, mu_plus = fp.phi_minus, fp.phi_plus
-
-    U_minus = np.zeros(depth + 1)
-    U_minus[0] = 1.0
-    for k in range(1, depth + 1):
-        U_minus[k] = sum(
-            mu_minus[w - 1] * U_minus[k - w] for w in range(1, min(k, law.a) + 1)
-        )
-
-    U_plus = np.zeros(depth + 1)
-    stay = 1.0 - mu_plus[0]
-    U_plus[0] = 1.0 / stay
-    for m in range(1, depth + 1):
-        U_plus[m] = (
-            sum(mu_plus[j] * U_plus[m - j] for j in range(1, min(m, law.b) + 1)) / stay
-        )
+    U_minus, U_plus = u_minus_at(fp, depth), u_plus_at(fp, depth)
 
     _, variance = moments(law)
     mean_ladder_minus = -math.fsum(

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
     NegativeDriftUnsupported,
@@ -132,7 +133,7 @@ class TestDriftedConstants:
         info = minimize_mgf(law_b)
         tilted = tilt(law_b, info.r0)
         for x, y, s in [(0, 0, 1.0), (2, 1, 1.0), (1, 3, 0.8)]:
-            dp = excursion_series(law_b, x, [y], 600)[y].evaluate(s)
+            dp = polyval(s, excursion_series(law_b, x, [y], 600)[y])
             closed = info.r0 ** (x - y) * e_value_at_s(tilted, info.rho0 * s, x, y)
             assert dp == pytest.approx(closed, rel=1e-12)
 
@@ -178,7 +179,7 @@ class TestDriftedConstants:
 
         for x, y in ((0, 0), (2, 1)):
             closed = r0 ** (x - y) * e_value(ladder, x, y)
-            col = excursion_series(law_b, x, [y], 10_000)[y].coeffs
+            col = excursion_series(law_b, x, [y], 10_000)[y]
             dp = float(np.sum(col * big_r ** np.arange(10_001)))
             assert dp <= closed + 1e-12
             assert closed - dp < 0.04 * closed

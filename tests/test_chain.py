@@ -16,7 +16,7 @@ from reflectwalk import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from reflectwalk.chain import STREAMING_N_MAX_CAP
+from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP
 from conftest import random_laws
 
 
@@ -110,7 +110,7 @@ class TestExcursionAndReflection:
         table = excursion_table(law_b, 2, 50)
         series = excursion_series(law_b, 2, [0, 3], 50)
         for y in (0, 3):
-            assert np.array_equal(series[y].coeffs, table.column(y).coeffs)
+            assert np.array_equal(series[y], [table.prob(n, y) for n in range(51)])
 
     def test_streamed_series_match_tables_past_underflow(self, law_a):
         # the streaming builders drop the zero tail that 3^-n leaves from
@@ -122,7 +122,8 @@ class TestExcursionAndReflection:
         ):
             assert table.rows[n][-1] == 0.0
             for y in ys:
-                assert np.array_equal(series[y].coeffs, table.column(y).coeffs)
+                column = [table.prob(m, y) for m in range(n + 1)]
+                assert np.array_equal(series[y], column)
 
 
 class TestIdentities:
@@ -150,6 +151,13 @@ class TestIdentities:
             assert verify_first_reflection_identity(law, 2, 1, 40) < 1e-12
             res_e, res_r = verify_ladder_factorizations(law, 2, 1, 40)
             assert res_e < 1e-12 and res_r < 1e-12
+
+    def test_identities_stream_past_the_stored_cap(self, law_a):
+        # the checks read streamed walks, so only the streamed cap applies
+        n = DEFAULT_N_MAX_CAP + 1
+        assert verify_first_reflection_identity(law_a, 2, 1, n) < 1e-12
+        res_e, res_r = verify_ladder_factorizations(law_a, 2, 1, n)
+        assert res_e < 1e-12 and res_r < 1e-12
 
 
 # every streamed builder, as (law, start, horizon) -> result
@@ -180,3 +188,15 @@ class TestStreamedInputChecks:
     def test_negative_start(self, name, law_a):
         with pytest.raises(InvalidInput):
             STREAMED[name](law_a, -1, 5)
+
+
+@pytest.mark.parametrize("name", sorted(STREAMED))
+def test_series_are_read_only_float64(name, law_p5):
+    # a series is its coefficient array; a 2-D table is one series per row
+    result = STREAMED[name](law_p5, 1, 12)
+    tables = list(result.values()) if isinstance(result, dict) else [result, result[0]]
+    for series in tables:
+        assert series.dtype == np.float64
+        assert series.shape[-1] == 13
+        with pytest.raises(ValueError):
+            series[..., 0] = 1.0

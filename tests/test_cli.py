@@ -13,7 +13,16 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from reflectwalk import descent_joint_table, excursion_series, ladder_laws, load_law, n_step_table
+from reflectwalk import (
+    descent_joint_table,
+    excursion_series,
+    factorize_at,
+    ladder_laws,
+    load_law,
+    n_step_table,
+    reflection,
+    wiener_hopf,
+)
 from reflectwalk.cli import _centered_base, _emit_csv, _exact_block, main
 from reflectwalk.reflection import e_value
 from conftest import golden_mismatch
@@ -86,16 +95,33 @@ class TestValidatePartialSums:
         base, _, _ = _centered_base(load_law(law_path))
         ladder = ladder_laws(base)
         descent = [
-            exact_gap(ladder.mu_minus[w - 1], s.coeffs)
+            exact_gap(ladder.mu_minus[w - 1], s)
             for w, s in enumerate(descent_joint_table(base, self.ORACLE_N), start=1)
         ]
         assert values["descent_partial_sums_gap"] == max(descent)
         assert values["descent_partial_sums_below_target"] == max(-g for g in descent)
 
         exc = excursion_series(base, 0, [0], 10_000)[0]
-        gap = exact_gap(e_value(ladder, 0, 0), exc.coeffs)
+        gap = exact_gap(e_value(ladder, 0, 0), exc)
         assert values["excursion_partial_gap"] == gap
         assert values["excursion_partial_below_closed"] == -gap
+
+
+@pytest.mark.parametrize("law_path", [LAW_A, LAW_B], ids=["lawA", "lawB"])
+def test_validate_factorizes_seven_times(law_path, monkeypatch, capsys):
+    # the s = 1 pair, s = 0.5, 0.9, 0.99, the two Richardson pairs and the
+    # eigenvalue pair at 1 - 1e-4: the constant reuses validate's objects
+    calls = []
+
+    def counting(law, s):
+        calls.append(s)
+        return factorize_at(law, s)
+
+    monkeypatch.setattr(wiener_hopf, "factorize_at", counting)
+    monkeypatch.setattr(reflection, "factorize_at", counting)
+    code, _, _ = run(["validate", "--law", law_path, "--oracle-n", "400"], capsys)
+    assert code == 0
+    assert len(calls) == 7, calls
 
 
 class TestExitCodes:

@@ -112,12 +112,12 @@ class TestStreamingTrim:
         table = stay_nonneg_table(law_a, self.N)
         assert table.rows[self.N][-1] == 0.0
         series = descent_joint_table(law_a, self.N)
-        assert np.array_equal(series[0].coeffs, table.descent_mass[:, 0])
+        assert np.array_equal(series[0], table.descent_mass[:, 0])
         ys = [0, 3, 900, 1400]
         columns = stay_series(law_a, ys, self.N)
         for y in ys:
             expected = [table.prob(n, y) for n in range(self.N + 1)]
-            assert np.array_equal(columns[y].coeffs, expected)
+            assert np.array_equal(columns[y], expected)
 
     def test_ascent_matches_untrimmed_recursion(self, law_p5):
         series = ascent_joint_table(law_p5, self.N)
@@ -178,7 +178,7 @@ class TestStayTable:
         series = stay_series(law_asym, [0, 1, 5], 40)
         for y in (0, 1, 5):
             expected = [table.prob(n, y) for n in range(41)]
-            assert np.array_equal(series[y].coeffs, expected)
+            assert np.array_equal(series[y], expected)
 
 
 class TestDescentTable:
@@ -194,14 +194,14 @@ class TestDescentTable:
         series = descent_joint_table(law_p5, 50)
         for w in (1, 2):
             assert np.allclose(
-                series[w - 1].coeffs, table.descent_mass[:, w - 1], rtol=0, atol=0
+                series[w - 1], table.descent_mass[:, w - 1], rtol=0, atol=0
             )
 
     def test_completeness_centered(self, law_a, law_p5):
         # total descent mass reaches 1 for centered laws, gap ~ 1/sqrt(N)
         for law in (law_a, law_p5):
             series = descent_joint_table(law, 4000)
-            total = np.sum([s.coeffs for s in series], axis=0).cumsum()
+            total = series.sum(axis=0).cumsum()
             gap_1000 = 1.0 - total[1000]
             gap_4000 = 1.0 - total[4000]
             assert 0 < gap_4000 < gap_1000
@@ -214,7 +214,7 @@ class TestDescentTable:
             ladder = ladder_laws(law)
             series = stay_series(law, [0, 1, 2], 4000)
             for y in (0, 1, 2):
-                sums = series[y].partial_sums()
+                sums = np.cumsum(series[y])
                 assert np.all(np.diff(sums) >= -1e-16)
                 assert sums[-1] <= ladder.u_plus(y) + 1e-12
                 gap_early = ladder.u_plus(y) - sums[1000]
@@ -233,12 +233,12 @@ class TestAscentTable:
     def test_law_a_no_late_overshoot(self, law_a):
         # re-entry from -1 with max up-step 1 lands exactly at 0
         series = ascent_joint_table(law_a, 40)
-        assert np.all(series[1].coeffs[2:] == 0.0)
+        assert np.all(series[1][2:] == 0.0)
 
     def test_total_mass_bounded(self):
         for law in random_laws(4, seed=13, centered=False):
             series = ascent_joint_table(law, 300)
-            total = math.fsum(float(s.coeffs.sum()) for s in series)
+            total = math.fsum(float(s.sum()) for s in series)
             assert total <= 1.0 + 1e-12
 
     def test_ascent_law_matches_factorization(self, law_p5):
@@ -246,6 +246,6 @@ class TestAscentTable:
         ladder = ladder_laws(law_p5)
         series = ascent_joint_table(law_p5, 4000)
         for j in range(0, 3):
-            partial = float(series[j].coeffs.sum())
+            partial = float(series[j].sum())
             assert partial <= ladder.mu_plus[j] + 1e-12
             assert partial == pytest.approx(ladder.mu_plus[j], rel=0.05)

@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
     InvalidInput,
@@ -98,7 +99,7 @@ class TestKernel:
             for s in (0.3, 0.5, 0.8):
                 row = r_row_at_s(law_p5, s, x)
                 for w in (1, 2):
-                    dp = refl.column(w).evaluate(s)
+                    dp = polyval(s, [refl.prob(n, w) for n in range(201)])
                     assert row[w - 1] == pytest.approx(dp, abs=1e-12)
 
 
@@ -212,10 +213,10 @@ class TestExcursion:
         from reflectwalk import excursion_series
 
         closed = e_value(ladders["a"], 0, 0)
-        partial = float(excursion_series(law_a, 0, [0], 10_000)[0].coeffs.sum())
+        partial = float(excursion_series(law_a, 0, [0], 10_000)[0].sum())
         gap = closed - partial
         assert 0 < gap < 0.05
-        earlier = float(excursion_series(law_a, 0, [0], 2_500)[0].coeffs.sum())
+        earlier = float(excursion_series(law_a, 0, [0], 2_500)[0].sum())
         assert gap == pytest.approx((closed - earlier) / 2, rel=0.1)
 
 
