@@ -23,19 +23,19 @@ for x in (0, 1, 3):
     print(f"  q({x}, .) =", {y: round(p, 4) for y, p in row.entries.items()})
 
 print("\n== exact n-step laws from x = 2 ==")
-table = n_step_table(law, 2, 12)
+rows = n_step_table(law, 2, 12)  # row n holds P_2[X_n = y] at index y
 for n in (0, 1, 4, 12):
-    row = {y: round(table.prob(n, y), 4) for y in range(8) if table.prob(n, y) > 5e-4}
-    print(f"  n={n:2d}: {row}  (row sum {table.row_total(n):.12f})")
+    row = {y: round(float(p), 4) for y, p in enumerate(rows[n][:8]) if p > 5e-4}
+    print(f"  n={n:2d}: {row}  (row sum {rows[n].sum():.12f})")
 
 print("\n== excursion vs reflection bookkeeping ==")
 exc = excursion_table(law, 2, 12)
-refl = reflection_time_table(law, 2, 12)
-cum = 0.0
+refl = reflection_time_table(law, 2, 12)  # [w-1, n]: first reflection at n lands on w
 for n in (1, 2, 4, 8, 12):
-    cum = sum(refl.row_total(k) for k in range(n + 1))
-    print(f"  n={n:2d}: P[no reflection yet] = {exc.row_total(n):.6f}, "
-          f"P[reflected by n] = {cum:.6f}, total = {exc.row_total(n) + cum:.12f}")
+    cum = sum(refl[:, : n + 1].sum(axis=0).tolist())
+    stay = exc[n].sum()
+    print(f"  n={n:2d}: P[no reflection yet] = {stay:.6f}, "
+          f"P[reflected by n] = {cum:.6f}, total = {stay + cum:.12f}")
 
 print("\n== strong-Markov split of P_x[X_n = y] ==")
 for x, y in ((0, 1), (2, 0), (3, 2)):

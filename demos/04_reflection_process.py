@@ -23,7 +23,7 @@ from reflectwalk.reflection import doeblin_gap
 law = law_from_masses({k: 0.2 for k in range(-2, 3)})
 ladder = ladder_laws(law)
 table = slopes(law, ladder)
-core = build_reflection_core(ladder, table, x_window=range(0, 9))
+core = build_reflection_core(ladder, table)  # start states x = 0..8
 
 print("== kernel rows R(x, .) on the overshoot window [1, 2] ==")
 for x in (0, 1, 2, 5, 8):

@@ -12,7 +12,7 @@ from reflectwalk import (
     centered_constant,
     drifted_constant,
     law_from_masses,
-    n_step_table,
+    n_step_series,
     oracle_constant_centered,
     oracle_constant_drifted,
     predict,
@@ -29,10 +29,10 @@ for y in (0, 1, 2):
           f"gap {abs(asym.C - oracle)/asym.C:.2%}")
 
 print("\nsqrt(n) P_0[X_n = 0] marching toward C_0:")
-table = n_step_table(law_a, 0, 4000)
+column = n_step_series(law_a, 0, [0], 4000)[0]  # P_0[X_n = 0] at index n
 asym0 = centered_constant(law_a, 0)
 for n in (50, 200, 1000, 4000):
-    val = table.prob(n, 0) * np.sqrt(n)
+    val = column[n] * np.sqrt(n)
     bar = "#" * int(round(60 * val / asym0.C))
     print(f"  n={n:5d}: {val:.5f} |{bar}")
 print(f"  C_0    : {asym0.C:.5f} |" + "#" * 60)
@@ -47,9 +47,9 @@ for n_max in (400, 800, 1600):
           f"(gap {abs(asym.C - oracle)/asym.C:.2%})")
 
 print("\nexact vs predicted, side by side:")
-table_b = n_step_table(law_b, 0, 512)
+column_b = n_step_series(law_b, 0, [0], 512)[0]
 for n in (16, 64, 256, 512):
-    exact = table_b.prob(n, 0)
+    exact = column_b[n]
     pred = predict(asym, n)
     print(f"  n={n:3d}: exact {exact:.6e}  predicted {pred:.6e}  "
           f"ratio {pred/exact:.4f}")

@@ -28,11 +28,11 @@ print("identical terminal histograms under different thread caps:",
       np.array_equal(first.terminal, second.terminal))
 
 print("\n== estimates vs exact DP ==")
-table = n_step_table(law, 0, 40)
+final = n_step_table(law, 0, 40)[40]  # P_0[X_40 = y] at index y
 print("   y   exact        MC estimate  z-score")
 for y in (8, 10, 12, 14, 16):
     est = first.estimate(y)
-    exact = table.prob(40, y)
+    exact = final[y]
     z = (est.point - exact) / est.stderr if est.stderr else 0.0
     print(f"  {y:2d}   {exact:.6f}     {est.point:.6f}     {z:+.2f}")
 

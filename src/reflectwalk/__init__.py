@@ -21,10 +21,10 @@ from .asymptotics import (
     tilting_identity_check,
 )
 from .chain import (
-    EvolutionTable,
     StepRow,
     excursion_series,
     excursion_table,
+    n_step_rows,
     n_step_series,
     n_step_table,
     reflection_time_table,
@@ -50,7 +50,6 @@ from .errors import (
     StationarityFailure,
 )
 from .fluctuation import (
-    HalfLineTable,
     ascent_joint_table,
     descent_joint_table,
     stay_nonneg_table,

@@ -36,6 +36,12 @@ from .wiener_hopf import LadderSystem, SlopeTable, default_depth, ladder_laws, s
 SQRT_PI = math.sqrt(math.pi)
 GAMMA_HALF = SQRT_PI  # Gamma(1/2)
 GAMMA_MINUS_HALF = -2.0 * SQRT_PI  # Gamma(-1/2)
+# relative gap allowed between a closed-form constant and its DP extrapolation
+CENTERED_GAP_TOL = 0.02
+DRIFTED_GAP_TOL = 0.05
+DRIFTED_ORACLE_CAP = 20_000  # longest default horizon of the drifted oracle
+TILTING_EVENTS = 100  # random path events per tilting identity check
+TILTING_SEED = 90714
 
 
 @dataclass(frozen=True)
@@ -95,10 +101,10 @@ class CenteredObjects:
     core: ReflectionCore
 
 
-def centered_objects(law: LatticeLaw, window: int = 0, validate: bool = True) -> CenteredObjects:
+def centered_objects(law: LatticeLaw, window: int = 0) -> CenteredObjects:
     ladder = ladder_laws(law, depth=default_depth(law, window))
-    slope_table = slopes(law, ladder, validate=validate)
-    core = build_reflection_core(ladder, slope_table, validate=validate)
+    slope_table = slopes(law, ladder)
+    core = build_reflection_core(ladder, slope_table)
     return CenteredObjects(ladder, slope_table, core)
 
 
@@ -151,11 +157,7 @@ class DriftedObjects:
 
 
 def drifted_objects(
-    law: LatticeLaw,
-    x: int,
-    y: int,
-    validate: bool = True,
-    objects: CenteredObjects | None = None,
+    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
 ) -> DriftedObjects:
     """Conjugate the centering tilt's kernel and excursion data back to law.
 
@@ -167,7 +169,7 @@ def drifted_objects(
     if objects is None:
         tilted = tilt(law, r0)
         ladder = ladder_laws(tilted, depth=default_depth(tilted, max(x, y)))
-        slope_table = slopes(tilted, ladder, validate=validate)
+        slope_table = slopes(tilted, ladder)
     else:
         ladder, slope_table = objects.ladder, objects.slope_table
 
@@ -286,15 +288,15 @@ def oracle_constant_centered(
     return float(coef[0])
 
 
-def drifted_oracle_horizon(rho: float, cap: int = 20_000) -> int:
+def drifted_oracle_horizon(rho: float) -> int:
     """Default DP horizon for the drifted extrapolation.
 
     The rho^n n^(-3/2) regime only sets in past the crossover 1/(1 - rho),
     so near-critical laws need proportionally longer horizons; 400 is ample
-    for comfortably drifted laws.
+    for comfortably drifted laws; DRIFTED_ORACLE_CAP bounds it.
     """
     crossover = 1.0 / max(1.0 - rho, 1e-6)
-    return int(max(400, min(16 * crossover, cap)))
+    return int(max(400, min(16 * crossover, DRIFTED_ORACLE_CAP)))
 
 
 def oracle_constant_drifted(
@@ -319,7 +321,6 @@ def constant_report(
     x: int,
     y: int,
     oracle_n: int | None = None,
-    rel_tol: float | None = None,
     objects: CenteredObjects | None = None,
 ) -> dict:
     """Closed-form constant next to its DP-extrapolated counterpart.
@@ -331,11 +332,11 @@ def constant_report(
     asym = asymptotic_law(law, x, y, objects)
     if asym.regime is Regime.CENTERED:
         n_max = oracle_n or 4000
-        tol = rel_tol if rel_tol is not None else 0.02
+        tol = CENTERED_GAP_TOL
         oracle = oracle_constant_centered(law, y, x=x, n_max=n_max)
     else:
         n_max = oracle_n or drifted_oracle_horizon(asym.rho)
-        tol = rel_tol if rel_tol is not None else 0.05
+        tol = DRIFTED_GAP_TOL
         oracle = oracle_constant_drifted(law, x, y, asym.rho, n_max=n_max)
     gap = abs(asym.C - oracle) / abs(asym.C)
     report = {
@@ -355,14 +356,13 @@ def constant_report(
     return report
 
 
-def tilting_identity_check(
-    law: LatticeLaw, n: int, events: int = 100, seed: int = 90714
-) -> float:
+def tilting_identity_check(law: LatticeLaw, n: int) -> float:
     """Exhaustive check of the change-of-measure identity on length-n paths.
 
     For indicator functionals Phi of random path events,
         E[Phi] = rho0^n E_tilted[Phi * r0^(-S_n)]
-    must hold exactly; returns the worst residual over the sampled events.
+    must hold exactly; returns the worst residual over TILTING_EVENTS random
+    events (each path in with probability 1/2), drawn from TILTING_SEED.
     """
     if n > 8:
         raise ValueError("exhaustive enumeration is capped at n = 8")
@@ -383,9 +383,9 @@ def tilting_identity_check(
         endpoints[i] = sum(p)
     weight = p_tilt * info.rho0**n * info.r0 ** (-endpoints)
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(TILTING_SEED)
     worst = 0.0
-    for _ in range(events):
+    for _ in range(TILTING_EVENTS):
         mask = rng.random(len(paths)) < 0.5
         lhs = math.fsum(p_orig[mask].tolist())
         rhs = math.fsum(weight[mask].tolist())

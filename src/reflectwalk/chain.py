@@ -7,7 +7,8 @@ fold onto their absolute value (the reflected chain) or are killed and
 reported (the excursion, the first reflection, the ladder epochs). The
 builders here and in `fluctuation` only pick the walk and read its rows.
 A series in s is held as its coefficients: a read-only float64 array whose
-entry n is the coefficient of s^n, n = 0..n_max.
+entry n is the coefficient of s^n, n = 0..n_max. A stored table is a tuple
+of read-only rows, row n over the states 0, 1, ..., its zero tail trimmed.
 
 The kernel is a fixed-order shift-and-add: it is elementwise, so its rows
 are the same bits on every IEEE-754 build. The builders of this module sum
@@ -20,7 +21,6 @@ vacuous. `_evolve` checks the start, horizon and size of every walk in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -30,12 +30,6 @@ from .laws import LatticeLaw
 MEMORY_CAP_FLOATS = 50_000_000
 DEFAULT_N_MAX_CAP = 10_000  # stored tables
 STREAMING_N_MAX_CAP = 50_000  # streamed walks
-
-
-class TableKind(Enum):
-    FULL = "full"
-    EXCURSION = "excursion"
-    REFLECTION_TIME = "reflection_time"
 
 
 @dataclass(frozen=True)
@@ -91,8 +85,8 @@ def _trim_tail(row: np.ndarray) -> np.ndarray:
     """Drop the trailing exact zeros of a row (keeping one entry).
 
     The far tail of a DP row underflows to 0.0 long before the row stops
-    growing. A zero adds nothing to any later sum, so the streamed walks trim
-    it without changing a single bit of what they return.
+    growing. A zero adds nothing to any later sum, so every walk trims it
+    without changing a single bit of what it returns.
     """
     end = row.shape[0]
     while end > 1 and row[end - 1] == 0.0:
@@ -128,9 +122,9 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
     `fold` those landings add onto their absolute value and killed is None;
     otherwise killed[w - 1] is the mass landing on -w (zeros at n = 0), a view
     into the step. The taps are summed last-first if `last_first`, else
-    first-last. A stored walk keeps every row whole and has the stored caps; a
-    streamed one trims each row's zero tail. The budget is checked here, at
-    the call, so callers may allocate for n_max before the first step.
+    first-last. Every row has its zero tail trimmed; `stored` selects the caps
+    of a walk whose every row is kept. The budget is checked here, at the
+    call, so callers may allocate for n_max before the first step.
     """
     if isinstance(start, np.ndarray):
         row, x = start, start.shape[0] - 1
@@ -154,8 +148,7 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
                     row = np.concatenate((row, np.zeros(a + 1 - row.shape[0])))
                 row[1 : a + 1] += killed
                 killed = None
-            if not stored:
-                row = _trim_tail(row)
+            row = _trim_tail(row)
             yield row, killed
 
     return steps(row)
@@ -175,58 +168,36 @@ def _columns(walk, ys, n_max: int) -> dict[int, np.ndarray]:
     return dict(zip(ys, out))
 
 
-@dataclass(frozen=True, eq=False)
-class EvolutionTable:
-    """Rows n = 0..n_max of exact state laws for one start point."""
-
-    kind: TableKind
-    law: LatticeLaw
-    start: int
-    rows: tuple  # FULL/EXCURSION: array over y = 0..width(n); REFLECTION_TIME: array over w-1
-
-    @property
-    def n_max(self) -> int:
-        return len(self.rows) - 1
-
-    def prob(self, n: int, y: int) -> float:
-        row = self.rows[n]
-        if self.kind is TableKind.REFLECTION_TIME:
-            idx = y - 1
-            if 0 <= idx < row.shape[0]:
-                return float(row[idx])
-            return 0.0
-        if 0 <= y < row.shape[0]:
-            return float(row[y])
-        return 0.0
-
-    def row_total(self, n: int) -> float:
-        return float(np.sum(self.rows[n]))
+def _read_only(row: np.ndarray) -> np.ndarray:
+    row.flags.writeable = False
+    return row
 
 
-def _freeze(rows: list[np.ndarray]) -> tuple:
-    for r in rows:
-        r.flags.writeable = False
-    return tuple(rows)
-
-
-def n_step_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
-    """Exact laws of X_0..X_{n_max} started at x."""
+def n_step_rows(law: LatticeLaw, x: int, n_max: int):
+    """Exact laws of X_0..X_{n_max} started at x, streamed: an iterator of
+    read-only rows, row n holding P_x[X_n = y] at index y. The stored caps
+    apply, since a caller may keep every row."""
     walk = _evolve(x, law.masses, law.a, n_max, fold=True, stored=True)
-    return EvolutionTable(TableKind.FULL, law, x, _freeze([row for row, _ in walk]))
+    return (_read_only(row) for row, _ in walk)
 
 
-def excursion_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
-    """Laws of the walk killed when it would step below 0 (pre-reflection piece)."""
+def n_step_table(law: LatticeLaw, x: int, n_max: int) -> tuple:
+    """Exact laws of X_0..X_{n_max} started at x: the rows of `n_step_rows`."""
+    return tuple(n_step_rows(law, x, n_max))
+
+
+def excursion_table(law: LatticeLaw, x: int, n_max: int) -> tuple:
+    """Laws of the walk killed when it would step below 0 (pre-reflection
+    piece): row n holds P_x[X_n = y, no reflection yet] at index y."""
     walk = _evolve(x, law.masses, law.a, n_max, stored=True)
-    return EvolutionTable(TableKind.EXCURSION, law, x, _freeze([row for row, _ in walk]))
+    return tuple(_read_only(row) for row, _ in walk)
 
 
-def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> EvolutionTable:
-    """Joint law of (first reflection time, landing point w in [1, a])."""
-    walk = _evolve(x, law.masses, law.a, n_max)
-    # copies: a view of each step would keep the whole step alive
-    rows = [killed.copy() for _, killed in walk]
-    return EvolutionTable(TableKind.REFLECTION_TIME, law, x, _freeze(rows))
+def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> np.ndarray:
+    """Joint law of (first reflection time, landing point w in [1, a]): a
+    read-only (a, n_max + 1) array whose row w-1 holds, at index n, the
+    probability that the first reflection happens at n and lands on w."""
+    return _killed_columns(law, x, 0, n_max)[1]
 
 
 def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
@@ -246,13 +217,14 @@ def excursion_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.nd
 
 def _killed_columns(law: LatticeLaw, x: int, y: int, n_max: int):
     """One killed walk from x, read both ways: its excursion column y, and its
-    first-reflection columns, row w-1 the series of landing on w."""
+    read-only first-reflection columns, row w-1 the series of landing on w."""
     exc = np.zeros(n_max + 1)
     refl = np.zeros((law.a, n_max + 1))
     for n, (row, killed) in enumerate(_evolve(x, law.masses, law.a, n_max)):
         if 0 <= y < row.shape[0]:
             exc[n] = row[y]
         refl[:, n] = killed
+    refl.flags.writeable = False
     return exc, refl
 
 

@@ -28,8 +28,8 @@ from .asymptotics import (
 )
 from .chain import (
     excursion_series,
+    n_step_rows,
     n_step_series,
-    n_step_table,
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
@@ -154,8 +154,8 @@ def _cmd_ladder(args) -> int:
 
 
 def _cmd_exact(args) -> int:
-    table = n_step_table(load_law(args.law), args.start, args.n)
-    _emit_csv("n,y,probability", map(_exact_block, range(args.n + 1), table.rows))
+    rows = n_step_rows(load_law(args.law), args.start, args.n)
+    _emit_csv("n,y,probability", map(_exact_block, range(args.n + 1), rows))
     return 0
 
 

@@ -16,32 +16,11 @@ are 2-D, one row per landing point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .chain import _columns, _evolve, _freeze
+from .chain import _columns, _evolve, _read_only
 from .errors import InvalidInput
 from .laws import LatticeLaw
-
-
-@dataclass(frozen=True, eq=False)
-class HalfLineTable:
-    """Rows n = 0..n_max of P[tau_strict_descent > n, S_n = y], y in [0, b*n]."""
-
-    law: LatticeLaw
-    n_max: int
-    rows: tuple  # row n is an ndarray of length b*n + 1
-    descent_mass: np.ndarray  # [n, w-1] = P[tau = n, S_n = -w]
-
-    def prob(self, n: int, y: int) -> float:
-        row = self.rows[n]
-        if 0 <= y < row.shape[0]:
-            return float(row[y])
-        return 0.0
-
-    def row_total(self, n: int) -> float:
-        return float(np.sum(self.rows[n]))
 
 
 def _descent_walk(law: LatticeLaw, n_max: int, stored: bool = False):
@@ -49,12 +28,10 @@ def _descent_walk(law: LatticeLaw, n_max: int, stored: bool = False):
     return _evolve(0, law.masses, law.a, n_max, last_first=True, stored=stored)
 
 
-def stay_nonneg_table(law: LatticeLaw, n_max: int) -> HalfLineTable:
-    """Joint law of staying nonnegative: row n maps y to P[tau > n, S_n = y]."""
-    steps = list(_descent_walk(law, n_max, stored=True))
-    descent = np.array([killed for _, killed in steps])
-    descent.flags.writeable = False
-    return HalfLineTable(law, n_max, _freeze([row for row, _ in steps]), descent)
+def stay_nonneg_table(law: LatticeLaw, n_max: int) -> tuple:
+    """Joint law of staying nonnegative: read-only row n holds
+    P[tau_strict_descent > n, S_n = y] at index y."""
+    return tuple(_read_only(row) for row, _ in _descent_walk(law, n_max, stored=True))
 
 
 def descent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:

@@ -18,6 +18,7 @@ from .errors import ConvergenceFailure, InvalidLaw, NonPositiveArgument
 
 MASS_SUM_TOL = 1e-12
 DRIFT_TOL = 1e-9
+MGF_MAX_ITER = 200  # Newton steps of the mgf minimizer
 
 
 class Regime(Enum):
@@ -206,7 +207,7 @@ class TiltInfo:
     R0: float  # 1 / rho0, radius of convergence in the drifted case
 
 
-def minimize_mgf(law: LatticeLaw, max_iter: int = 200) -> TiltInfo:
+def minimize_mgf(law: LatticeLaw) -> TiltInfo:
     """Locate the unique stationary point r0 of the mgf by bracketed Newton.
 
     The mgf is strictly convex on (0, inf) and blows up at both ends because
@@ -237,7 +238,7 @@ def minimize_mgf(law: LatticeLaw, max_iter: int = 200) -> TiltInfo:
 
     r = math.sqrt(r_lo * r_hi)
     best = None
-    for _ in range(max_iter):
+    for _ in range(MGF_MAX_ITER):
         fr = f(r)
         if best is None or abs(fr) < abs(best[1]):
             best = (r, fr)

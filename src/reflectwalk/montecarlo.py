@@ -88,11 +88,6 @@ class SimResult:
     reflection_target: np.ndarray
     terminal_at: dict = field(default_factory=dict)
 
-    def terminal_prob(self, y: int) -> float:
-        if 0 <= y < self.terminal.shape[0]:
-            return float(self.terminal[y]) / self.config.paths
-        return 0.0
-
     def estimate(self, y: int, n: int | None = None) -> Estimate:
         """Empirical P[X_n = y] with its binomial standard error; n defaults
         to the horizon, else it must be a checkpoint."""

@@ -22,7 +22,7 @@ from .errors import (
 )
 from .laws import LatticeLaw
 from .wiener_hopf import (
-    RICHARDSON_EPS,
+    RICHARDSON_S,
     SLOPE_REL_TOL,
     FactorPair,
     LadderSystem,
@@ -32,6 +32,10 @@ from .wiener_hopf import (
     u_minus_at,
     u_plus_at,
 )
+
+STATIONARY_TOL = 1e-8  # total variation of nu R - nu
+EIGEN_TOL = 1e-13
+EIGEN_MAX_ITER = 10_000
 
 
 def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
@@ -81,14 +85,14 @@ def r_row_at_s(
     return row
 
 
-def stationary_nu(ladder: LadderSystem, tol: float = 1e-8) -> tuple[np.ndarray, str]:
+def stationary_nu(ladder: LadderSystem) -> tuple[np.ndarray, str]:
     """Stationary probability of the reflection-target chain on [1, a].
 
     Evaluates the closed-form stationary weights and normalizes. The middle
     term's interval typography is ambiguous in the source, so both readings
     are tried and the one that is actually stationary for the kernel core is
     kept (they coincide for a = 1). Raises StationarityFailure if neither
-    reading is stationary within tol (total variation).
+    reading is stationary within STATIONARY_TOL (total variation).
     """
     a = ladder.a
     mu = ladder.mu_minus  # mu[v-1] = mass of a ladder step of size -v
@@ -114,12 +118,12 @@ def stationary_nu(ladder: LadderSystem, tol: float = 1e-8) -> tuple[np.ndarray, 
         residual = float(np.sum(np.abs(nu @ core - nu)))
         if best is None or residual < best[2]:
             best = (nu, name, residual)
-        if residual < tol:
+        if residual < STATIONARY_TOL:
             nu.flags.writeable = False
             return nu, name
     raise StationarityFailure(
         f"no bracket convention is stationary: best {best[1]} "
-        f"has TV residual {best[2]:.3e} (tolerance {tol:.1e})"
+        f"has TV residual {best[2]:.3e} (tolerance {STATIONARY_TOL:.1e})"
     )
 
 
@@ -157,9 +161,7 @@ def r_tilde_row(ladder: LadderSystem, slope_table: SlopeTable, x: int) -> np.nda
     return row
 
 
-def kernel_slope_oracle_error(
-    ladder: LadderSystem, slope_table: SlopeTable, xs, eps=RICHARDSON_EPS
-) -> float:
+def kernel_slope_oracle_error(ladder: LadderSystem, slope_table: SlopeTable, xs) -> float:
     """Worst relative gap between closed-form kernel slope rows and the
     Richardson slope of the s-weighted kernel (two independent routes).
 
@@ -167,7 +169,7 @@ def kernel_slope_oracle_error(
     for each y reads its entry from that row.
     """
     law = ladder.law
-    fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
+    fps = {s: ladder.factor_pair(s) for s in RICHARDSON_S}
     worst = 0.0
     rows = {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
     scale = max(max(np.max(np.abs(r)) for r in rows.values()), 1.0)
@@ -176,11 +178,7 @@ def kernel_slope_oracle_error(
         rows_at_s = {s: r_row_at_s(law, s, x, fp) for s, fp in fps.items()}
         oracle = np.array(
             [
-                richardson_slope(
-                    lambda s, y=y: rows_at_s[s][y - 1],
-                    base[y - 1],
-                    eps,
-                )
+                richardson_slope(lambda s, y=y: rows_at_s[s][y - 1], base[y - 1])
                 for y in range(1, ladder.a + 1)
             ]
         )
@@ -190,22 +188,17 @@ def kernel_slope_oracle_error(
 
 
 def r_tilde_rows(
-    ladder: LadderSystem,
-    slope_table: SlopeTable,
-    xs,
-    validate: bool = True,
-    eps=RICHARDSON_EPS,
-    rel_tol: float = SLOPE_REL_TOL,
+    ladder: LadderSystem, slope_table: SlopeTable, xs, validate: bool = True
 ) -> dict[int, np.ndarray]:
     """Slope rows for each x, optionally checked against the Richardson slope
     of the s-weighted kernel (two independent routes to the same matrix)."""
     rows = {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
     if validate:
-        err = kernel_slope_oracle_error(ladder, slope_table, xs, eps)
-        if err > rel_tol:
+        err = kernel_slope_oracle_error(ladder, slope_table, xs)
+        if err > SLOPE_REL_TOL:
             raise SlopeMismatch(
                 f"reflection slope rows deviate from the Richardson oracle "
-                f"by {err:.3e} (tolerance {rel_tol:.1e})"
+                f"by {err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
             )
     return rows
 
@@ -242,16 +235,12 @@ class ReflectionCore:
 
 
 def build_reflection_core(
-    ladder: LadderSystem,
-    slope_table: SlopeTable,
-    x_window=None,
-    validate: bool = True,
+    ladder: LadderSystem, slope_table: SlopeTable, validate: bool = True
 ) -> ReflectionCore:
-    """Assemble kernel rows, stationary law, Doeblin constant, and slope rows."""
+    """Assemble kernel rows, stationary law, Doeblin constant, and slope rows
+    on the start states x = 0..max(2a, 8)."""
     a = ladder.a
-    if x_window is None:
-        x_window = range(0, max(2 * a, 8) + 1)
-    xs = sorted({int(x) for x in x_window} | set(range(1, a + 1)))
+    xs = list(range(0, max(2 * a, 8) + 1))
     rows = r_rows(ladder, xs)
     core = np.array([rows[x] for x in range(1, a + 1)])
     nu, convention = stationary_nu(ladder)
@@ -309,7 +298,7 @@ def e_value_at_s(law: LatticeLaw, s: float, x: int, y: int, fp: FactorPair | Non
 
 
 def excursion_slope_oracle_error(
-    ladder: LadderSystem, slope_table: SlopeTable, y: int, xs, eps=RICHARDSON_EPS
+    ladder: LadderSystem, slope_table: SlopeTable, y: int, xs
 ) -> float:
     """Worst relative gap between closed-form excursion slopes and the
     Richardson slope of the s-weighted excursion values.
@@ -320,51 +309,39 @@ def excursion_slope_oracle_error(
     xs = [int(x) for x in xs]
     _require_states(y=y, x=min(xs, default=0))
     potentials = {}
-    for s in (1.0 - eps[0], 1.0 - eps[1]):
+    for s in RICHARDSON_S:
         fp = ladder.factor_pair(s)
         potentials[s] = (u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y))
     worst = 0.0
     for x in xs:
         closed = e_tilde_value(ladder, slope_table, x, y)
         oracle = richardson_slope(
-            lambda s, x=x: _renewal_sum(*potentials[s], x, y),
-            e_value(ladder, x, y),
-            eps,
+            lambda s, x=x: _renewal_sum(*potentials[s], x, y), e_value(ladder, x, y)
         )
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-6))
     return worst
 
 
-def e_column(
-    ladder: LadderSystem,
-    slope_table: SlopeTable,
-    y: int,
-    xs,
-    validate: bool = True,
-    eps=RICHARDSON_EPS,
-    rel_tol: float = SLOPE_REL_TOL,
-) -> ExcursionColumn:
+def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:
     """Excursion values and slopes for one arrival state, Richardson-checked."""
     _require_states(y=y)
     values = {int(x): e_value(ladder, int(x), y) for x in xs}
     tilde = {int(x): e_tilde_value(ladder, slope_table, int(x), y) for x in xs}
-    if validate:
-        err = excursion_slope_oracle_error(ladder, slope_table, y, list(values), eps)
-        if err > rel_tol:
-            raise SlopeMismatch(
-                f"excursion slopes at y={y} deviate from the Richardson "
-                f"oracle by {err:.3e} (tolerance {rel_tol:.1e})"
-            )
+    err = excursion_slope_oracle_error(ladder, slope_table, y, list(values))
+    if err > SLOPE_REL_TOL:
+        raise SlopeMismatch(
+            f"excursion slopes at y={y} deviate from the Richardson "
+            f"oracle by {err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
+        )
     return ExcursionColumn(y, values, tilde)
 
 
-def dominant_eigenvalue(
-    core: np.ndarray, tol: float = 1e-13, max_iter: int = 10_000
-) -> float:
+def dominant_eigenvalue(core: np.ndarray) -> float:
     """Dominant eigenvalue of a nonnegative core by power iteration.
 
     The Doeblin minorization gives the core a spectral gap, so plain power
-    iteration with a positive start vector converges geometrically.
+    iteration with a positive start vector converges geometrically; it
+    stops at relative change EIGEN_TOL, or fails after EIGEN_MAX_ITER steps.
     """
     core = np.asarray(core, dtype=float)
     n = core.shape[0]
@@ -372,19 +349,20 @@ def dominant_eigenvalue(
         return float(core[0, 0])
     v = np.full(n, 1.0 / n)
     lam = 0.0
-    for _ in range(max_iter):
+    for _ in range(EIGEN_MAX_ITER):
         w = core @ v
         norm = float(np.sum(np.abs(w)))
         if norm == 0.0:
             return 0.0
         lam_new = float(v @ w / (v @ v))
         w = w / norm
-        if abs(lam_new - lam) <= tol * max(1.0, abs(lam_new)) and np.max(
+        scale = max(1.0, abs(lam_new))
+        if abs(lam_new - lam) <= EIGEN_TOL * scale and np.max(
             np.abs(core @ w - lam_new * w)
-        ) <= 10 * tol * max(1.0, abs(lam_new)):
+        ) <= 10 * EIGEN_TOL * scale:
             return lam_new
         v, lam = w, lam_new
-    raise ConvergenceFailure(f"power iteration did not settle in {max_iter} steps")
+    raise ConvergenceFailure(f"power iteration did not settle in {EIGEN_MAX_ITER} steps")
 
 
 def resolvent_apply(

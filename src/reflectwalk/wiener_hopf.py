@@ -27,6 +27,7 @@ CIRCLE_TOL = 1e-8  # roots this close to |z| = 1 cannot be classified
 # gate satisfied with orders of margin for windows into the several tens,
 # while the sqrt(eps)-scale differences stay 10 orders above rounding noise
 RICHARDSON_EPS = (1e-7, 2.5e-8)
+RICHARDSON_S = tuple(1.0 - eps for eps in RICHARDSON_EPS)  # where the oracles factorize
 SLOPE_REL_TOL = 1e-3
 
 
@@ -210,17 +211,6 @@ class LadderSystem:
     def depth(self) -> int:
         return self.U_minus.shape[0] - 1
 
-    def u_minus(self, k: int) -> float:
-        """U^-(-k) for k >= 0 (0 for k < 0, i.e. on the positive side)."""
-        if k < 0:
-            return 0.0
-        return float(self.U_minus[k])
-
-    def u_plus(self, m: int) -> float:
-        if m < 0:
-            return 0.0
-        return float(self.U_plus[m])
-
     def factor_pair(self, s: float) -> FactorPair:
         """The factorization of the law at s, made once per ladder system."""
         fp = self.pairs.get(s)
@@ -281,15 +271,14 @@ def u_plus_at(fp: FactorPair, depth: int) -> np.ndarray:
     return u
 
 
-def richardson_slope(fn, value_at_1: float, eps=RICHARDSON_EPS) -> float:
+def richardson_slope(fn, value_at_1: float) -> float:
     """Two-point Richardson estimate of the sqrt(1-s) coefficient of fn at s = 1.
 
-    fn is evaluated at s = 1 - eps for the two given eps; the secant slopes
-    (fn(1-eps) - fn(1)) / sqrt(eps) are extrapolated to eps = 0, cancelling
-    the next term of the expansion.
+    fn is evaluated at s = 1 - eps for the two RICHARDSON_EPS; the secant
+    slopes (fn(1-eps) - fn(1)) / sqrt(eps) are extrapolated to eps = 0,
+    cancelling the next term of the expansion.
     """
-    e1, e2 = eps
-    s1_val, s2_val = 1.0 - e1, 1.0 - e2
+    s1_val, s2_val = RICHARDSON_S
     # use the representable offsets, not the nominal eps: 1 - (1 - e) != e
     t1, t2 = math.sqrt(1.0 - s1_val), math.sqrt(1.0 - s2_val)
     g1 = (fn(s1_val) - value_at_1) / t1
@@ -319,28 +308,8 @@ class SlopeTable:
             return float(self.slope_T_minus[w - 1])
         return 0.0
 
-    def u_minus(self, k: int) -> float:
-        if k < 0:
-            return 0.0
-        if k >= self.slope_U_minus.shape[0]:
-            raise IndexError(f"slope table depth exceeded at k={k}")
-        return float(self.slope_U_minus[k])
 
-    def u_plus(self, m: int) -> float:
-        if m < 0:
-            return 0.0
-        if m >= self.slope_U_plus.shape[0]:
-            raise IndexError(f"slope table depth exceeded at m={m}")
-        return float(self.slope_U_plus[m])
-
-
-def slopes(
-    law: LatticeLaw,
-    ladder: LadderSystem,
-    validate: bool = True,
-    eps=RICHARDSON_EPS,
-    rel_tol: float = SLOPE_REL_TOL,
-) -> SlopeTable:
+def slopes(law: LatticeLaw, ladder: LadderSystem) -> SlopeTable:
     """Closed-form singularity slopes, cross-validated against Richardson.
 
     Closed forms (coef = sqrt(2)/sigma):
@@ -369,69 +338,38 @@ def slopes(
     slope_U_minus[1:] = -coef * np.cumsum(ladder.U_minus[:-1])
     slope_U_plus = -coef * np.cumsum(ladder.U_plus)
 
-    method = "closed-form"
+    check_depth = min(depth, 2 * (a + b) + 2)
+    at_s = {}  # s -> the four transforms at s, in the order of `checks`
+    for s in RICHARDSON_S:
+        fp = ladder.factor_pair(s)
+        at_s[s] = (fp.phi_minus, fp.phi_plus, u_minus_at(fp, check_depth), u_plus_at(fp, check_depth))
+    checks = (
+        [(0, slope_T_minus, ladder.mu_minus, w - 1) for w in range(1, a + 1)]
+        + [(1, slope_T_plus, ladder.mu_plus, j) for j in range(0, b + 1)]
+        + [(2, slope_U_minus, ladder.U_minus, k) for k in range(1, check_depth + 1)]
+        + [(3, slope_U_plus, ladder.U_plus, m) for m in range(0, check_depth + 1)]
+    )
     max_rel_err = 0.0
-    if validate:
-        check_depth = min(depth, 2 * (a + b) + 2)
-        fps = {s: ladder.factor_pair(s) for s in (1.0 - eps[0], 1.0 - eps[1])}
-        u_minus_cache = {s: u_minus_at(fp, check_depth) for s, fp in fps.items()}
-        u_plus_cache = {s: u_plus_at(fp, check_depth) for s, fp in fps.items()}
-
-        checks = []
-        for w in range(1, a + 1):
-            checks.append(
-                (
-                    slope_T_minus[w - 1],
-                    richardson_slope(
-                        lambda s, w=w: fps[s].phi_minus[w - 1],
-                        ladder.mu_minus[w - 1],
-                        eps,
-                    ),
-                )
-            )
-        for j in range(0, b + 1):
-            checks.append(
-                (
-                    slope_T_plus[j],
-                    richardson_slope(
-                        lambda s, j=j: fps[s].phi_plus[j], ladder.mu_plus[j], eps
-                    ),
-                )
-            )
-        for k in range(1, check_depth + 1):
-            checks.append(
-                (
-                    slope_U_minus[k],
-                    richardson_slope(
-                        lambda s, k=k: u_minus_cache[s][k], ladder.U_minus[k], eps
-                    ),
-                )
-            )
-        for m in range(0, check_depth + 1):
-            checks.append(
-                (
-                    slope_U_plus[m],
-                    richardson_slope(
-                        lambda s, m=m: u_plus_cache[s][m], ladder.U_plus[m], eps
-                    ),
-                )
-            )
-        for closed, oracle in checks:
-            # floor keeps structurally-zero entries from amplifying fp noise
-            rel = abs(closed - oracle) / max(abs(closed), 1e-6)
-            max_rel_err = max(max_rel_err, rel)
-        if max_rel_err > rel_tol:
-            raise SlopeMismatch(
-                f"closed-form slopes deviate from the Richardson oracle by "
-                f"{max_rel_err:.3e} (tolerance {rel_tol:.1e}); "
-                "an interval convention is off"
-            )
-        method = "closed-form+richardson"
+    for kind, closed, at_1, i in checks:
+        oracle = richardson_slope(lambda s: at_s[s][kind][i], at_1[i])
+        # floor keeps structurally-zero entries from amplifying fp noise
+        max_rel_err = max(max_rel_err, abs(closed[i] - oracle) / max(abs(closed[i]), 1e-6))
+    if max_rel_err > SLOPE_REL_TOL:
+        raise SlopeMismatch(
+            f"closed-form slopes deviate from the Richardson oracle by "
+            f"{max_rel_err:.3e} (tolerance {SLOPE_REL_TOL:.1e}); "
+            "an interval convention is off"
+        )
 
     for arr in (slope_T_minus, slope_T_plus, slope_U_minus, slope_U_plus):
         arr.flags.writeable = False
     return SlopeTable(
-        slope_T_minus, slope_T_plus, slope_U_minus, slope_U_plus, method, max_rel_err
+        slope_T_minus,
+        slope_T_plus,
+        slope_U_minus,
+        slope_U_plus,
+        "closed-form+richardson",
+        max_rel_err,
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from reflectwalk import LatticeLaw, law_from_masses, minimize_mgf, tilt
+from reflectwalk.chain import _shift_add
 
 
 @pytest.fixture(scope="session")
@@ -44,6 +45,35 @@ def random_laws(count: int, seed: int, centered: bool):
             law = tilt(law, minimize_mgf(law).r0)
         laws.append(law)
     return laws
+
+
+def untrimmed_walk(law: LatticeLaw, x: int, n_max: int, fold=False, last_first=False):
+    """Rows 0..n_max of the DP walk from x, stepped by `_shift_add` alone with
+    every row kept whole (zero tail included), and the killed masses: entry
+    [n, w-1] is the mass landing on -w at step n (zero with `fold`, where it
+    lands on w instead). The reference the trimmed walks must match bit for bit."""
+    a, taps = law.a, law.masses.tolist()
+    order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
+    row = np.zeros(x + 1)
+    row[x] = 1.0
+    rows, killed = [row], [np.zeros(a)]
+    for _ in range(n_max):
+        out = _shift_add(row, taps, order)
+        row, dropped = out[a:], out[:a][::-1]
+        if fold:
+            row = np.concatenate((row, np.zeros(max(0, a + 1 - row.size))))
+            row[1 : a + 1] += dropped
+            dropped = np.zeros(a)
+        rows.append(row)
+        killed.append(dropped)
+    return rows, np.array(killed)
+
+
+def assert_trimmed(table, whole_rows):
+    """Each row of `table` is its whole row with the zero tail cut, bit for bit."""
+    assert len(table) == len(whole_rows)
+    for row, whole in zip(table, whole_rows):
+        assert np.array_equal(row, whole[: row.size]) and not whole[row.size :].any()
 
 
 def golden_mismatch(name: str, out: str, golden: str, limit: int = 40) -> str:

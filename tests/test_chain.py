@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from reflectwalk import (
     HorizonTooLarge,
@@ -8,16 +10,19 @@ from reflectwalk import (
     descent_joint_table,
     excursion_series,
     excursion_table,
+    law_from_masses,
+    n_step_rows,
     n_step_series,
     n_step_table,
     reflection_time_table,
+    stay_nonneg_table,
     stay_series,
     step_row,
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
 from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP
-from conftest import random_laws
+from conftest import assert_trimmed, random_laws, untrimmed_walk
 
 
 class TestStepRow:
@@ -41,25 +46,40 @@ class TestStepRow:
     def test_matches_one_step_table(self, law_p5):
         for x in (0, 1, 3):
             row = step_row(law_p5, x)
-            table = n_step_table(law_p5, x, 1)
+            step = n_step_table(law_p5, x, 1)[1]
+            assert np.flatnonzero(step).tolist() == sorted(row.entries)
             for y, q in row.entries.items():
-                assert table.prob(1, y) == pytest.approx(q, abs=1e-16)
+                assert step[y] == pytest.approx(q, abs=1e-16)
 
 
 class TestNStepTable:
     def test_time_zero(self, law_b):
-        table = n_step_table(law_b, 3, 0)
-        assert table.prob(0, 3) == 1.0 and table.row_total(0) == 1.0
+        (row,) = n_step_table(law_b, 3, 0)
+        assert row.tolist() == [0.0, 0.0, 0.0, 1.0]
 
     def test_law_a_two_steps(self, law_a):
         # 1/3*1/3 (stay twice) + 2/3*1/3 (out and back)
-        assert n_step_table(law_a, 0, 2).prob(2, 0) == pytest.approx(1 / 3, abs=1e-15)
+        assert n_step_table(law_a, 0, 2)[2][0] == pytest.approx(1 / 3, abs=1e-15)
 
     def test_stochastic_to_1000(self, law_a, law_b):
         for law in (law_a, law_b):
             table = n_step_table(law, 0, 1000)
-            totals = np.array([table.row_total(n) for n in range(1001)])
+            assert len(table) == 1001
+            totals = np.array([row.sum() for row in table])
             assert np.max(np.abs(totals - 1.0)) < 1e-12
+
+    def test_rows_stream_in_table_order(self, law_p5):
+        rows = n_step_rows(law_p5, 1, 30)
+        assert iter(rows) is rows  # a generator, not a stored table
+        for streamed, stored in zip(rows, n_step_table(law_p5, 1, 30), strict=True):
+            assert np.array_equal(streamed, stored) and not streamed.flags.writeable
+
+    def test_rows_check_their_budget_at_the_call(self, law_a):
+        # `exact` writes its CSV header only after this call returns
+        with pytest.raises(HorizonTooLarge):
+            n_step_rows(law_a, 0, DEFAULT_N_MAX_CAP + 1)
+        with pytest.raises(InvalidInput):
+            n_step_rows(law_a, -1, 5)
 
     def test_horizon_guard(self, law_a):
         with pytest.raises(HorizonTooLarge):
@@ -68,10 +88,10 @@ class TestNStepTable:
 
 class TestExcursionAndReflection:
     def test_excursion_one_step(self, law_a):
-        table = excursion_table(law_a, 0, 1)
-        assert table.prob(1, 0) == pytest.approx(1 / 3, abs=1e-16)
-        assert table.prob(1, 1) == pytest.approx(1 / 3, abs=1e-16)
-        assert table.row_total(1) == pytest.approx(2 / 3, abs=1e-16)
+        row = excursion_table(law_a, 0, 1)[1]
+        assert row[0] == pytest.approx(1 / 3, abs=1e-16)
+        assert row[1] == pytest.approx(1 / 3, abs=1e-16)
+        assert row.sum() == pytest.approx(2 / 3, abs=1e-16)
 
     def test_far_from_wall_matches_free_walk(self, law_p5):
         # no boundary interaction: excursion from large x is the unrestricted walk
@@ -82,19 +102,18 @@ class TestExcursionAndReflection:
             free = np.convolve(free, law_p5.masses)
             for i, p in enumerate(free):
                 dy = i - law_p5.a * m
-                assert exc.prob(m, x + dy) == pytest.approx(p, abs=1e-15)
+                assert exc[m][x + dy] == pytest.approx(p, abs=1e-15)
 
     def test_row_sums_decrease(self, law_b):
-        table = excursion_table(law_b, 1, 80)
-        totals = [table.row_total(n) for n in range(81)]
+        totals = [row.sum() for row in excursion_table(law_b, 1, 80)]
         assert all(b <= a for a, b in zip(totals, totals[1:]))
 
     def test_reflection_entries_law_a(self, law_a):
         refl = reflection_time_table(law_a, 0, 10)
-        assert refl.prob(1, 1) == pytest.approx(1 / 3, abs=1e-16)
-        assert refl.prob(2, 1) == pytest.approx(1 / 9, abs=1e-16)
-        assert refl.prob(2, 0) == 0.0  # landing state 0 impossible
-        assert refl.prob(2, 2) == 0.0  # overshoot bounded by a = 1
+        assert refl.shape == (1, 11)  # landings lie in [1, a], a = 1
+        assert refl[0, 1] == pytest.approx(1 / 3, abs=1e-16)
+        assert refl[0, 2] == pytest.approx(1 / 9, abs=1e-16)
+        assert refl[0, 0] == 0.0  # no reflection at time 0
 
     def test_bookkeeping_identity(self, law_a, law_b, law_p5):
         # excursion mass + cumulative reflection mass = 1 at every horizon
@@ -103,27 +122,29 @@ class TestExcursionAndReflection:
             refl = reflection_time_table(law, 2, 120)
             cum = 0.0
             for n in range(121):
-                cum += refl.row_total(n)
-                assert exc.row_total(n) + cum == pytest.approx(1.0, abs=1e-12)
+                cum += refl[:, n].sum()
+                assert exc[n].sum() + cum == pytest.approx(1.0, abs=1e-12)
 
     def test_excursion_series_matches_table(self, law_b):
         table = excursion_table(law_b, 2, 50)
         series = excursion_series(law_b, 2, [0, 3], 50)
         for y in (0, 3):
-            assert np.array_equal(series[y], [table.prob(n, y) for n in range(51)])
+            assert np.array_equal(series[y], [row[y] if y < row.size else 0.0 for row in table])
 
     def test_streamed_series_match_tables_past_underflow(self, law_a):
-        # the streaming builders drop the zero tail that 3^-n leaves from
-        # n ~ 680 on; the columns must keep every bit
+        # every walk drops the zero tail that 3^-n leaves from n ~ 680 on;
+        # rows and columns must keep every bit of the untrimmed recursion
         n, ys = 1500, [0, 2, 700, 1400]
-        for table, series in (
-            (n_step_table(law_a, 2, n), n_step_series(law_a, 2, ys, n)),
-            (excursion_table(law_a, 2, n), excursion_series(law_a, 2, ys, n)),
+        fold, _ = untrimmed_walk(law_a, 2, n, fold=True)
+        kill, _ = untrimmed_walk(law_a, 2, n)
+        for table, series, full in (
+            (n_step_table(law_a, 2, n), n_step_series(law_a, 2, ys, n), fold),
+            (excursion_table(law_a, 2, n), excursion_series(law_a, 2, ys, n), kill),
         ):
-            assert table.rows[n][-1] == 0.0
+            assert full[n][-1] == 0.0 and table[n].size < full[n].size
+            assert_trimmed(table, full)
             for y in ys:
-                column = [table.prob(m, y) for m in range(n + 1)]
-                assert np.array_equal(series[y], column)
+                assert np.array_equal(series[y], [row[y] if y < row.size else 0.0 for row in full])
 
 
 class TestIdentities:
@@ -200,3 +221,33 @@ def test_series_are_read_only_float64(name, law_p5):
         assert series.shape[-1] == 13
         with pytest.raises(ValueError):
             series[..., 0] = 1.0
+
+
+# every table builder, as (law, start, horizon) -> tuple of rows
+TABLES = {
+    "n_step_table": n_step_table,
+    "excursion_table": excursion_table,
+    "stay_nonneg_table": lambda law, x, n: stay_nonneg_table(law, n),
+}
+# tiny and zero weights make rows underflow, or hold zeros, within a few steps
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1e-300, 1e-160, 1e-9]), st.floats(0.01, 1.0))
+
+
+@st.composite
+def lattice_laws(draw):
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    inner = draw(st.lists(WEIGHTS, min_size=a + b - 1, max_size=a + b - 1))
+    ends = draw(st.lists(st.one_of(st.sampled_from([1e-300, 1e-160]), st.floats(0.01, 1.0)),
+                         min_size=2, max_size=2))
+    weights = np.array([ends[0], *inner, ends[1]])
+    return law_from_masses({k - a: float(w) for k, w in enumerate(weights / weights.sum())})
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@given(law=lattice_laws(), x=st.integers(0, 5), n=st.integers(0, 40))
+def test_stored_rows_are_trimmed_and_read_only(name, law, x, n):
+    table = TABLES[name](law, x, n)
+    assert isinstance(table, tuple) and len(table) == n + 1
+    for row in table:
+        assert row.size == 1 or row[-1] != 0.0
+        assert row.dtype == np.float64 and not row.flags.writeable

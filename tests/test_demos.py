@@ -1,4 +1,5 @@
-"""Each demo's stdout, byte for byte against its recorded golden.
+"""Each demo's stdout, byte for byte against its recorded golden, and the
+README's quick start run as written.
 
 Set REFLECTWALK_REGEN_GOLDEN=1 to rewrite the goldens from the current code.
 """
@@ -21,15 +22,20 @@ def test_all_six_demos_are_pinned():
     assert len(DEMOS) == 6
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
-def test_demo_stdout(demo):
+def run_python(*args):
+    """A fresh interpreter that imports the package from src/."""
     env = dict(os.environ)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env,
+    return subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env,
         capture_output=True, text=True, timeout=300,
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_stdout(demo):
+    proc = run_python(str(demo))
     assert proc.returncode == 0, proc.stderr
     name = f"demo_{demo.stem}"
     path = GOLDEN / f"{name}.out"
@@ -37,3 +43,12 @@ def test_demo_stdout(demo):
         path.write_text(proc.stdout)
     golden = path.read_text()
     assert proc.stdout == golden, golden_mismatch(name, proc.stdout, golden)
+
+
+def test_readme_quick_start_runs():
+    # an API change must not silently break the documented example
+    section = (ROOT / "README.md").read_text().split("## Library quick start", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    proc = run_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip()

@@ -15,7 +15,7 @@ from reflectwalk import (
 )
 import reflectwalk.chain as chain
 from reflectwalk.chain import _evolve, _shift_add
-from conftest import random_laws
+from conftest import assert_trimmed, random_laws, untrimmed_walk
 
 
 def _reference_shift_add(row, kernel, last_first=True):
@@ -81,13 +81,14 @@ class TestStepKernel:
     def test_fold_step_fixed_order(self):
         law, a = self.LAW, self.LAW.a
         masses = law.masses.tolist()
-        table = n_step_table(law, 2, self.STEPS)
-        for n in range(self.STEPS):
-            full = _reference_shift_add(table.rows[n].tolist(), masses, last_first=False)
+        rows, _ = untrimmed_walk(law, 2, self.STEPS, fold=True)
+        for row, nxt in zip(rows, rows[1:]):
+            full = _reference_shift_add(row.tolist(), masses, last_first=False)
             folded = full[a:] + [0.0] * (a + 1 - len(full[a:]))
             for y in range(1, a + 1):
                 folded[y] += full[a - y]
-            assert table.rows[n + 1].tolist() == folded
+            assert nxt.tolist() == folded
+        assert_trimmed(n_step_table(law, 2, self.STEPS), rows)
 
     def test_ascent_is_mirrored_descent(self, law_p5):
         # the negative side of the weak ascent, stepped in plain Python
@@ -109,14 +110,14 @@ class TestStreamingTrim:
     N = 1500  # the far tail underflows to 0.0 from about n = 680 (lawA), 460 (p5)
 
     def test_descent_and_stay_series_match_full_rows(self, law_a):
-        table = stay_nonneg_table(law_a, self.N)
-        assert table.rows[self.N][-1] == 0.0
-        series = descent_joint_table(law_a, self.N)
-        assert np.array_equal(series[0], table.descent_mass[:, 0])
+        full, killed = untrimmed_walk(law_a, 0, self.N, last_first=True)
+        assert full[self.N][-1] == 0.0
+        assert_trimmed(stay_nonneg_table(law_a, self.N), full)
+        assert np.array_equal(descent_joint_table(law_a, self.N), killed.T)
         ys = [0, 3, 900, 1400]
         columns = stay_series(law_a, ys, self.N)
         for y in ys:
-            expected = [table.prob(n, y) for n in range(self.N + 1)]
+            expected = [row[y] if y < row.size else 0.0 for row in full]
             assert np.array_equal(columns[y], expected)
 
     def test_ascent_matches_untrimmed_recursion(self, law_p5):
@@ -135,29 +136,28 @@ class TestStreamingTrim:
 class TestStayTable:
     def test_row_zero_is_point_mass(self, law_a, law_b):
         for law in (law_a, law_b):
-            table = stay_nonneg_table(law, 0)
-            assert np.array_equal(table.rows[0], [1.0])
+            (row,) = stay_nonneg_table(law, 0)
+            assert np.array_equal(row, [1.0])
 
     def test_law_a_first_rows(self, law_a):
         table = stay_nonneg_table(law_a, 2)
-        assert table.prob(1, 0) == pytest.approx(1 / 3, abs=1e-16)
-        assert table.prob(1, 1) == pytest.approx(1 / 3, abs=1e-16)
+        assert table[1][0] == pytest.approx(1 / 3, abs=1e-16)
+        assert table[1][1] == pytest.approx(1 / 3, abs=1e-16)
         # two surviving two-step paths end at 0: increments (0,0) and (+1,-1)
-        assert table.prob(2, 0) == pytest.approx(2 / 9, abs=1e-16)
+        assert table[2][0] == pytest.approx(2 / 9, abs=1e-16)
 
     def test_row_sums_non_increasing(self, law_p5):
-        table = stay_nonneg_table(law_p5, 60)
-        totals = [table.row_total(n) for n in range(61)]
+        totals = [row.sum() for row in stay_nonneg_table(law_p5, 60)]
         assert all(b <= a + 1e-15 for a, b in zip(totals, totals[1:]))
 
     def test_mass_conservation_every_step(self, law_a, law_b, law_p5):
+        # the mass a step drops from the stay table is the descent table's
         for law in (law_a, law_b, law_p5):
             table = stay_nonneg_table(law, 200)
+            descent = descent_joint_table(law, 200)
             for n in range(1, 201):
-                dropped = math.fsum(table.descent_mass[n].tolist())
-                assert table.row_total(n) + dropped == pytest.approx(
-                    table.row_total(n - 1), abs=1e-14
-                )
+                dropped = math.fsum(descent[:, n].tolist())
+                assert table[n].sum() + dropped == pytest.approx(table[n - 1].sum(), abs=1e-14)
 
     def test_memory_guard(self, law_a, monkeypatch):
         monkeypatch.setattr(chain, "MEMORY_CAP_FLOATS", 1000)
@@ -177,7 +177,7 @@ class TestStayTable:
         table = stay_nonneg_table(law_asym, 40)
         series = stay_series(law_asym, [0, 1, 5], 40)
         for y in (0, 1, 5):
-            expected = [table.prob(n, y) for n in range(41)]
+            expected = [row[y] if y < row.size else 0.0 for row in table]
             assert np.array_equal(series[y], expected)
 
 
@@ -190,12 +190,11 @@ class TestDescentTable:
         assert w1[2] == pytest.approx(1 / 9, abs=1e-16)
 
     def test_matches_stay_table_drops(self, law_p5):
-        table = stay_nonneg_table(law_p5, 50)
+        # the masses the whole half-line walk drops below 0, bit for bit
+        _, killed = untrimmed_walk(law_p5, 0, 50, last_first=True)
         series = descent_joint_table(law_p5, 50)
         for w in (1, 2):
-            assert np.allclose(
-                series[w - 1], table.descent_mass[:, w - 1], rtol=0, atol=0
-            )
+            assert np.array_equal(series[w - 1], killed[:, w - 1])
 
     def test_completeness_centered(self, law_a, law_p5):
         # total descent mass reaches 1 for centered laws, gap ~ 1/sqrt(N)
@@ -216,12 +215,12 @@ class TestDescentTable:
             for y in (0, 1, 2):
                 sums = np.cumsum(series[y])
                 assert np.all(np.diff(sums) >= -1e-16)
-                assert sums[-1] <= ladder.u_plus(y) + 1e-12
-                gap_early = ladder.u_plus(y) - sums[1000]
-                gap_late = ladder.u_plus(y) - sums[4000]
+                assert sums[-1] <= ladder.U_plus[y] + 1e-12
+                gap_early = ladder.U_plus[y] - sums[1000]
+                gap_late = ladder.U_plus[y] - sums[4000]
                 assert 0 < gap_late < gap_early
                 assert gap_late == pytest.approx(gap_early / 2, rel=0.15)
-                assert gap_late < 0.1 * ladder.u_plus(y)
+                assert gap_late < 0.1 * ladder.U_plus[y]
 
 
 class TestAscentTable:

@@ -72,7 +72,7 @@ class TestSimulate:
     def test_one_step_law(self, law_a):
         config = SimConfig(law_a, 0, 1, 100_000, 42)
         result = simulate(config)
-        p1 = result.terminal_prob(1)
+        p1 = result.terminal[1] / config.paths
         stderr = np.sqrt((2 / 3) * (1 / 3) / config.paths)
         assert abs(p1 - 2 / 3) < 4 * stderr
 
@@ -257,17 +257,17 @@ class TestEstimatePxy:
 
     def test_matches_dp_law_a(self, law_a):
         result = simulate(SimConfig(law_a, 0, 50, 200_000, 7))
-        exact = n_step_table(law_a, 0, 50)
+        exact = n_step_table(law_a, 0, 50)[50]
         for y in (0, 1, 2):
             est = result.estimate(y)
-            assert abs(est.point - exact.prob(50, y)) < 4 * max(est.stderr, 1e-9)
+            assert abs(est.point - exact[y]) < 4 * max(est.stderr, 1e-9)
 
     def test_matches_dp_law_b(self, law_b):
         result = simulate(SimConfig(law_b, 0, 30, 200_000, 13))
-        exact = n_step_table(law_b, 0, 30)
+        exact = n_step_table(law_b, 0, 30)[30]
         for y in (5, 9, 12):
             est = result.estimate(y)
-            assert abs(est.point - exact.prob(30, y)) < 4 * max(est.stderr, 1e-9)
+            assert abs(est.point - exact[y]) < 4 * max(est.stderr, 1e-9)
 
     def test_stderr_formula(self, law_a):
         est = estimate_pxy(SimConfig(law_a, 0, 10, 4000, 3), 1)
@@ -277,7 +277,7 @@ class TestEstimatePxy:
 
     def test_coverage_calibration(self, law_a):
         # ~95% of 2-stderr intervals should cover the exact value
-        exact = n_step_table(law_a, 0, 20).prob(20, 1)
+        exact = n_step_table(law_a, 0, 20)[20][1]
         hits = 0
         for seed in range(200):
             est = estimate_pxy(SimConfig(law_a, 0, 20, 4000, 1000 + seed), 1)

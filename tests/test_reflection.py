@@ -39,7 +39,7 @@ from reflectwalk.reflection import (
     r_rows,
     r_tilde_row,
 )
-from reflectwalk.wiener_hopf import RICHARDSON_EPS, richardson_slope, u_minus_at, u_plus_at
+from reflectwalk.wiener_hopf import richardson_slope, u_minus_at, u_plus_at
 from conftest import random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -73,8 +73,8 @@ class TestKernel:
         # from below at the n^(-1/2) first-passage rate
         ladder = ladders["p5"]
         for x in (0, 1, 3):
-            early = np.sum(reflection_time_table(law_p5, x, 2500).rows, axis=0)
-            late = np.sum(reflection_time_table(law_p5, x, 10_000).rows, axis=0)
+            early = reflection_time_table(law_p5, x, 2500).sum(axis=1)
+            late = reflection_time_table(law_p5, x, 10_000).sum(axis=1)
             row = r_row(ladder, x)
             assert np.all(late <= row + 1e-12)
             assert np.all(row - late < 0.02)
@@ -99,7 +99,7 @@ class TestKernel:
             for s in (0.3, 0.5, 0.8):
                 row = r_row_at_s(law_p5, s, x)
                 for w in (1, 2):
-                    dp = polyval(s, [refl.prob(n, w) for n in range(201)])
+                    dp = polyval(s, refl[w - 1])
                     assert row[w - 1] == pytest.approx(dp, abs=1e-12)
 
 
@@ -190,7 +190,7 @@ class TestExcursion:
         for ladder in ladders.values():
             for y in (0, 1, 4):
                 assert e_value(ladder, 0, y) == pytest.approx(
-                    ladder.u_plus(y), rel=1e-14
+                    ladder.U_plus[y], rel=1e-14
                 )
 
     def test_column_object(self, law_a, ladders):
@@ -293,7 +293,7 @@ def centered_random_law(a: int, b: int, seed: int):
     return tilt(law, minimize_mgf(law).r0)
 
 
-def reference_kernel_error(ladder, table, xs, eps=RICHARDSON_EPS):
+def reference_kernel_error(ladder, table, xs):
     """kernel_slope_oracle_error with a fresh factorization and a fresh
     s-weighted row for every (x, y, s)."""
     law = ladder.law
@@ -306,7 +306,6 @@ def reference_kernel_error(ladder, table, xs, eps=RICHARDSON_EPS):
             richardson_slope(
                 lambda s, y=y: r_row_at_s(law, s, x, factorize_at(law, s))[y - 1],
                 base[y - 1],
-                eps,
             )
             for y in range(1, ladder.a + 1)
         ])
@@ -315,7 +314,7 @@ def reference_kernel_error(ladder, table, xs, eps=RICHARDSON_EPS):
     return worst
 
 
-def reference_excursion_error(ladder, table, y, xs, eps=RICHARDSON_EPS):
+def reference_excursion_error(ladder, table, y, xs):
     """excursion_slope_oracle_error with a fresh factorization per (x, s)."""
     law = ladder.law
     worst = 0.0
@@ -324,7 +323,6 @@ def reference_excursion_error(ladder, table, y, xs, eps=RICHARDSON_EPS):
         oracle = richardson_slope(
             lambda s: e_value_at_s(law, s, x, y, factorize_at(law, s)),
             e_value(ladder, x, y),
-            eps,
         )
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-6))
     return worst
