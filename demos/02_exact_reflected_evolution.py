@@ -39,5 +39,5 @@ for n in (1, 2, 4, 8, 12):
 
 print("\n== strong-Markov split of P_x[X_n = y] ==")
 for x, y in ((0, 1), (2, 0), (3, 2)):
-    res = verify_first_reflection_identity(law, x, y, 60)
+    res = verify_first_reflection_identity(law, [x], [y], 60)
     print(f"  x={x} y={y}: max residual over n <= 60 is {res:.2e}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import n_step_series
-from .errors import NegativeDriftUnsupported, NotCentered, ReflectWalkError
+from .errors import NegativeDriftUnsupported, NotCentered, ReflectWalkError, SlopeMismatch
 from .laws import LatticeLaw, Regime, check_hypotheses, minimize_mgf, tilt
 from .reflection import (
     ReflectionCore,
@@ -31,11 +31,9 @@ from .reflection import (
     r_tilde_row,
     resolvent_apply,
 )
-from .wiener_hopf import LadderSystem, SlopeTable, default_depth, ladder_laws, slopes
+from .wiener_hopf import SLOPE_REL_TOL, LadderSystem, SlopeTable, default_depth, ladder_laws, slopes
 
 SQRT_PI = math.sqrt(math.pi)
-GAMMA_HALF = SQRT_PI  # Gamma(1/2)
-GAMMA_MINUS_HALF = -2.0 * SQRT_PI  # Gamma(-1/2)
 # relative gap allowed between a closed-form constant and its DP extrapolation
 CENTERED_GAP_TOL = 0.02
 DRIFTED_GAP_TOL = 0.05
@@ -53,26 +51,6 @@ class AsymptoticLaw:
     beta: float
     C: float
     provenance: dict
-
-    @property
-    def R(self) -> float:
-        """Darboux singularity location (radius of convergence)."""
-        return 1.0 / self.rho
-
-    @property
-    def alpha(self) -> float:
-        """Darboux exponent: the singular part is (R - s)^alpha."""
-        return self.beta - 1.0
-
-    def frak_A(self) -> float:
-        """Darboux amplitude at the singularity implied by C.
-
-        With the singular part written A (R - s)^alpha, the coefficients obey
-        g_n ~ A R^(alpha - n) / (Gamma(-alpha) n^(1 + alpha)), so
-        C = A R^alpha / Gamma(-alpha).
-        """
-        gamma = GAMMA_HALF if self.regime is Regime.CENTERED else GAMMA_MINUS_HALF
-        return self.C * gamma / self.R**self.alpha
 
 
 def predict(asym: AsymptoticLaw, n: int) -> float:
@@ -105,6 +83,11 @@ def centered_objects(law: LatticeLaw, window: int = 0) -> CenteredObjects:
     ladder = ladder_laws(law, depth=default_depth(law, window))
     slope_table = slopes(law, ladder)
     core = build_reflection_core(ladder, slope_table)
+    if core.slope_rel_err > SLOPE_REL_TOL:
+        raise SlopeMismatch(
+            f"reflection slope rows deviate from the Richardson oracle "
+            f"by {core.slope_rel_err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
+        )
     return CenteredObjects(ladder, slope_table, core)
 
 

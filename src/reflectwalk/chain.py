@@ -5,7 +5,9 @@ Every exact law in the package comes from one DP engine: the step kernel
 masses over the states 0, 1, ... by one increment; landings below 0 either
 fold onto their absolute value (the reflected chain) or are killed and
 reported (the excursion, the first reflection, the ladder epochs). The
-builders here and in `fluctuation` only pick the walk and read its rows.
+builders here and in `fluctuation` only pick the walk and read it: a stored
+table keeps its rows, and everything else goes through `_columns`, the one
+reader, which turns a walk into its entry columns and its killed masses.
 A series in s is held as its coefficients: a read-only float64 array whose
 entry n is the coefficient of s^n, n = 0..n_max. A stored table is a tuple
 of read-only rows, row n over the states 0, 1, ..., its zero tail trimmed.
@@ -38,9 +40,6 @@ class StepRow:
 
     x: int
     entries: dict  # y -> q(x, y), positive entries only
-
-    def total(self) -> float:
-        return float(np.sum(np.fromiter(self.entries.values(), dtype=float)))
 
 
 def step_row(law: LatticeLaw, x: int) -> StepRow:
@@ -154,18 +153,29 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
     return steps(row)
 
 
-def _columns(walk, ys, n_max: int) -> dict[int, np.ndarray]:
-    """Entries y of a walk's rows as series in n: {y: series}, where series[n]
-    is entry y of row n (0 where that row is too short). The series are the
-    rows of one read-only float64 array."""
+def _columns(walk, ys, n_max: int):
+    """The one reader of a walk: rows 0..n_max, read as series in n.
+
+    Returns ({y: series}, killed). Series y holds entry y of row n at index n
+    (0 where that row is too short); killed[w - 1] holds, at index n, the
+    mass step n killed on -w, and is None for a fold walk. All are read-only
+    float64 arrays. The walk is never stepped past row n_max.
+    """
     ys = sorted(set(int(y) for y in ys))
     out = np.zeros((len(ys), n_max + 1))
-    for n, (row, _) in enumerate(walk):
+    killed = None
+    for n, (row, lost) in zip(range(n_max + 1), walk):
         for i, y in enumerate(ys):
             if 0 <= y < row.shape[0]:
                 out[i, n] = row[y]
-    out.flags.writeable = False
-    return dict(zip(ys, out))
+        if lost is not None:
+            if killed is None:
+                killed = np.zeros((lost.shape[0], n_max + 1))
+            killed[:, n] = lost
+    for array in (out, killed):
+        if array is not None:
+            array.flags.writeable = False
+    return dict(zip(ys, out)), killed
 
 
 def _read_only(row: np.ndarray) -> np.ndarray:
@@ -197,7 +207,7 @@ def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> np.ndarray:
     """Joint law of (first reflection time, landing point w in [1, a]): a
     read-only (a, n_max + 1) array whose row w-1 holds, at index n, the
     probability that the first reflection happens at n and lands on w."""
-    return _killed_columns(law, x, 0, n_max)[1]
+    return _columns(_evolve(x, law.masses, law.a, n_max), (), n_max)[1]
 
 
 def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
@@ -207,85 +217,80 @@ def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarr
     Holds only the current row, so horizons beyond the full-table memory cap
     are fine (the asymptotics oracles need them for laws with rho near 1).
     """
-    return _columns(_evolve(x, law.masses, law.a, n_max, fold=True), ys, n_max)
+    return _columns(_evolve(x, law.masses, law.a, n_max, fold=True), ys, n_max)[0]
 
 
 def excursion_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
     """Columns of the excursion table as series, streamed without row storage."""
-    return _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max)
+    return _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max)[0]
 
 
-def _killed_columns(law: LatticeLaw, x: int, y: int, n_max: int):
-    """One killed walk from x, read both ways: its excursion column y, and its
-    read-only first-reflection columns, row w-1 the series of landing on w."""
-    exc = np.zeros(n_max + 1)
-    refl = np.zeros((law.a, n_max + 1))
-    for n, (row, killed) in enumerate(_evolve(x, law.masses, law.a, n_max)):
-        if 0 <= y < row.shape[0]:
-            exc[n] = row[y]
-        refl[:, n] = killed
-    refl.flags.writeable = False
-    return exc, refl
-
-
-def verify_first_reflection_identity(
-    law: LatticeLaw, x: int, y: int, n_max: int
-) -> float:
-    """Residual of the strong-Markov split of P_x[X_n = y] over the first reflection.
+def verify_first_reflection_identity(law: LatticeLaw, xs, ys, n_max: int) -> float:
+    """Worst residual, over every start x in xs and target y in ys, of the
+    strong-Markov split of P_x[X_n = y] over the first reflection.
 
     Checks, for every n <= n_max,
         P_x[X_n = y] = P_x[X_n = y, no reflection yet]
                        + sum_{k<=n} sum_w P_x[first reflection at k lands on w] P_w[X_{n-k} = y].
+
+    Each start is walked once killed and once folded, and each landing point
+    w once folded; every y is read from those walks. So the grid result is
+    the max of the one-pair results, bit for bit.
     """
-    full_x = n_step_series(law, x, [y], n_max)[y]
-    rhs, refl = _killed_columns(law, x, y, n_max)
-    for w in range(1, law.a + 1):
-        if not np.any(refl[w - 1]):
-            continue
-        full_w = n_step_series(law, w, [y], n_max)[y]
-        rhs += np.convolve(refl[w - 1], full_w)[: n_max + 1]
-    return float(np.max(np.abs(full_x - rhs)))
+    killed = {x: _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max) for x in sorted(set(xs))}
+    landings = {w for w in range(1, law.a + 1) if any(np.any(r[w - 1]) for _, r in killed.values())}
+    full = {x: n_step_series(law, x, ys, n_max) for x in sorted(set(killed) | landings)}
+    worst = 0.0
+    for x, (exc, refl) in killed.items():
+        for y, column in exc.items():
+            rhs = column.copy()
+            for w in range(1, law.a + 1):
+                if np.any(refl[w - 1]):
+                    rhs += np.convolve(refl[w - 1], full[w][y])[: n_max + 1]
+            worst = max(worst, float(np.max(np.abs(full[x][y] - rhs))))
+    return worst
 
 
-def verify_ladder_factorizations(
-    law: LatticeLaw, x: int, y: int, n_max: int
-) -> tuple[float, float]:
-    """Coefficient-level residuals of the ladder-epoch recursions.
+def verify_ladder_factorizations(law: LatticeLaw, xs, ys, n_max: int) -> tuple[float, float]:
+    """Worst coefficient-level residuals, over every start x in xs and target
+    y in ys, of the ladder-epoch recursions.
 
     Excursion side:  E(s|x,y) = U+(s|y-x) + sum_{w<x} T(s|w-x) E(s|w,y)
     Reflection side: N(s|x,y) = T(s|-x-y) + sum_{w<x} T(s|w-x) N(s|w,y)  (y >= 1)
 
-    E and N come from this module's chain DP; U+ and T come from the
-    independent half-line DP in `fluctuation`.
+    E and N come from this module's killed walks, one from each w in
+    0..max(xs); U+ and T are the columns and the killed masses of one walk of
+    the independent half-line DP in `fluctuation`. Every y is read from those
+    walks, so the grid results are the max of the one-pair results, bit for bit.
     """
-    from .fluctuation import descent_joint_table, stay_series
+    from .fluctuation import _descent_walk
 
-    descent = descent_joint_table(law, n_max)  # row w-1: series of T(s|-w)
+    xs, ys = sorted(set(int(x) for x in xs)), sorted(set(int(y) for y in ys))
+    if xs and xs[0] < 0:
+        raise InvalidInput(f"start state must be >= 0, got {xs[0]}")
+    ups = {y - x for x in xs for y in ys if y >= x}
+    u_plus, descent = _columns(_descent_walk(law, n_max), ups, n_max)
+    zero = np.zeros(n_max + 1)
 
     def t_series(v: int) -> np.ndarray:
-        # coefficients of T(s| v) for v <= -1
-        if -law.a <= v <= -1:
-            return descent[-v - 1]
-        return np.zeros(n_max + 1)
+        # coefficients of T(s| v) for v <= -1; row w-1 of descent is T(s|-w)
+        return descent[-v - 1] if -law.a <= v <= -1 else zero
 
-    walks = [_killed_columns(law, w, y, n_max) for w in range(x + 1)]
-    exc_cols = [exc for exc, _ in walks]
-    if y - x >= 0:
-        u_plus = stay_series(law, [y - x], n_max)[y - x]
-    else:
-        u_plus = np.zeros(n_max + 1)
-    rhs_e = u_plus.copy()
-    for w in range(x):
-        rhs_e += np.convolve(t_series(w - x), exc_cols[w])[: n_max + 1]
-    residual_e = float(np.max(np.abs(exc_cols[x] - rhs_e)))
-
-    if y < 1:
-        return residual_e, 0.0
-
-    # landings lie in [1, a]: a column beyond a is zero
-    refl_cols = [refl[y - 1] if y <= law.a else np.zeros(n_max + 1) for _, refl in walks]
-    rhs_r = t_series(-x - y).copy()
-    for w in range(x):
-        rhs_r += np.convolve(t_series(w - x), refl_cols[w])[: n_max + 1]
-    residual_r = float(np.max(np.abs(refl_cols[x] - rhs_r)))
-    return residual_e, residual_r
+    starts = range(max(xs, default=-1) + 1)
+    walks = [_columns(_evolve(w, law.masses, law.a, n_max), ys, n_max) for w in starts]
+    worst_e = worst_r = 0.0
+    for x in xs:
+        for y in ys:
+            rhs_e = u_plus[y - x].copy() if y >= x else zero.copy()
+            for w in range(x):
+                rhs_e += np.convolve(t_series(w - x), walks[w][0][y])[: n_max + 1]
+            worst_e = max(worst_e, float(np.max(np.abs(walks[x][0][y] - rhs_e))))
+            if y < 1:
+                continue
+            # landings lie in [1, a]: a column beyond a is zero
+            refl_cols = [refl[y - 1] if y <= law.a else zero for _, refl in walks[: x + 1]]
+            rhs_r = t_series(-x - y).copy()
+            for w in range(x):
+                rhs_r += np.convolve(t_series(w - x), refl_cols[w])[: n_max + 1]
+            worst_r = max(worst_r, float(np.max(np.abs(refl_cols[x] - rhs_r))))
+    return worst_e, worst_r

@@ -44,7 +44,6 @@ from .reflection import (
     e_column,
     e_value,
     excursion_slope_oracle_error,
-    kernel_slope_oracle_error,
     r_row_at_s,
 )
 from .wiener_hopf import default_depth, ladder_laws, roots_z_pm, slopes
@@ -280,20 +279,12 @@ def _cmd_validate(args) -> int:
     res = max(ladder.factor_pair(s).residual for s in (0.5, 0.9, 0.99, 1.0))
     add("wiener_hopf_residual", res, 1e-10)
 
-    worst = max(
-        verify_first_reflection_identity(law, x, y, 60)
-        for x in (0, 1, 3)
-        for y in (0, 1, 2)
-    )
-    add("first_reflection_identity", worst, 1e-12)
-
-    worst_e = worst_r = 0.0
-    for x in (0, 1, 3):
-        for y in (0, 1, 2):
-            res_e, res_r = verify_ladder_factorizations(law, x, y, 60)
-            worst_e, worst_r = max(worst_e, res_e), max(worst_r, res_r)
-    add("ladder_factorization_excursion", worst_e, 1e-12)
-    add("ladder_factorization_reflection", worst_r, 1e-12)
+    # every start is walked once; each check is its worst (x, y) residual
+    xs, ys = (0, 1, 3), (0, 1, 2)
+    add("first_reflection_identity", verify_first_reflection_identity(law, xs, ys, 60), 1e-12)
+    res_e, res_r = verify_ladder_factorizations(law, xs, ys, 60)
+    add("ladder_factorization_excursion", res_e, 1e-12)
+    add("ladder_factorization_reflection", res_r, 1e-12)
 
     descent = descent_joint_table(base, args.oracle_n)
     gaps = [
@@ -309,12 +300,9 @@ def _cmd_validate(args) -> int:
     try:
         table = slopes(base, ladder)
         add("slope_convention_max_rel_err", table.max_rel_err, 1e-3)
-        core = build_reflection_core(ladder, table, validate=False)
-        add(
-            "kernel_slope_oracle_rel_err",
-            kernel_slope_oracle_error(ladder, table, core.x_window),
-            1e-3,
-        )
+        # the core checks its own slope rows; a large error is reported here
+        core = build_reflection_core(ladder, table)
+        add("kernel_slope_oracle_rel_err", core.slope_rel_err, 1e-3)
         add(
             "excursion_slope_oracle_rel_err",
             excursion_slope_oracle_error(ladder, table, args.y, core.x_window),

@@ -40,12 +40,7 @@ def descent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
     Streams the DP, so large horizons are fine."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
-    walk = _descent_walk(law, n_max)
-    coeffs = np.zeros((law.a, n_max + 1))
-    for n, (_, killed) in enumerate(walk):
-        coeffs[:, n] = killed
-    coeffs.flags.writeable = False
-    return coeffs
+    return _columns(_descent_walk(law, n_max), (), n_max)[1]
 
 
 def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, np.ndarray]:
@@ -53,7 +48,7 @@ def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, np.ndarray]:
 
     Entry n of series y is P[tau_strict_descent > n, S_n = y].
     """
-    return _columns(_descent_walk(law, n_max), ys, n_max)
+    return _columns(_descent_walk(law, n_max), ys, n_max)[0]
 
 
 def ascent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
@@ -64,12 +59,12 @@ def ascent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
     # After the first step, h[i] holds the mass at -1 - i that has not yet
     # ascended. Mirrored (z = -1 - y) it is a walk with reversed taps, killed
     # at re-entry into [0, inf): its killed[j] lands on j. Walk step k is time
-    # n = k + 1; zip stops on the range first, so step n_max never runs.
+    # n = k + 1: the walk keeps the caps of horizon n_max, but only its rows
+    # 0..n_max - 1 are read, so its last step never runs.
     h = np.array([law.mass(-1 - i) for i in range(law.a)])
     walk = _evolve(h, law.masses[::-1], law.b, n_max, last_first=True)
     coeffs = np.zeros((law.b + 1, n_max + 1))
-    for n, (_, killed) in zip(range(1, n_max + 1), walk):
-        coeffs[: law.b, n] = killed
+    coeffs[: law.b, 1:] = _columns(walk, (), n_max - 1)[1]
     # first step leaves the origin: landing >= 0 means tau+ = 1
     coeffs[:, 1] = [law.mass(j) for j in range(law.b + 1)]
     coeffs.flags.writeable = False

@@ -161,20 +161,21 @@ def r_tilde_row(ladder: LadderSystem, slope_table: SlopeTable, x: int) -> np.nda
     return row
 
 
-def kernel_slope_oracle_error(ladder: LadderSystem, slope_table: SlopeTable, xs) -> float:
+def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict) -> float:
     """Worst relative gap between closed-form kernel slope rows and the
     Richardson slope of the s-weighted kernel (two independent routes).
 
-    Each s-weighted row is built once per (x, s); the Richardson estimate
-    for each y reads its entry from that row.
+    rows and tilde_rows map each x to its kernel row and its closed-form
+    slope row, as `r_rows` and `r_tilde_rows` build them. Each s-weighted
+    row is built once per (x, s); the Richardson estimate for each y reads
+    its entry from that row.
     """
     law = ladder.law
     fps = {s: ladder.factor_pair(s) for s in RICHARDSON_S}
     worst = 0.0
-    rows = {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
-    scale = max(max(np.max(np.abs(r)) for r in rows.values()), 1.0)
-    for x, closed in rows.items():
-        base = r_row(ladder, x)
+    scale = max(max(np.max(np.abs(r)) for r in tilde_rows.values()), 1.0)
+    for x, closed in tilde_rows.items():
+        base = rows[x]
         rows_at_s = {s: r_row_at_s(law, s, x, fp) for s, fp in fps.items()}
         oracle = np.array(
             [
@@ -187,20 +188,9 @@ def kernel_slope_oracle_error(ladder: LadderSystem, slope_table: SlopeTable, xs)
     return worst
 
 
-def r_tilde_rows(
-    ladder: LadderSystem, slope_table: SlopeTable, xs, validate: bool = True
-) -> dict[int, np.ndarray]:
-    """Slope rows for each x, optionally checked against the Richardson slope
-    of the s-weighted kernel (two independent routes to the same matrix)."""
-    rows = {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
-    if validate:
-        err = kernel_slope_oracle_error(ladder, slope_table, xs)
-        if err > SLOPE_REL_TOL:
-            raise SlopeMismatch(
-                f"reflection slope rows deviate from the Richardson oracle "
-                f"by {err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
-            )
-    return rows
+def r_tilde_rows(ladder: LadderSystem, slope_table: SlopeTable, xs) -> dict[int, np.ndarray]:
+    """Slope rows for each x."""
+    return {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,7 +199,8 @@ class ReflectionCore:
 
     rows/tilde_rows map x to the kernel row (R(x, y))_{y=1..a} and its
     sqrt(1-s) slope; core is the a x a block on [1, a]; nu the stationary
-    probability of the target chain; kappa the Doeblin constant.
+    probability of the target chain; kappa the Doeblin constant;
+    slope_rel_err the kernel slope oracle's error on tilde_rows.
     """
 
     ladder: LadderSystem
@@ -220,6 +211,7 @@ class ReflectionCore:
     nu_convention: str
     kappa: float
     tilde_rows: dict
+    slope_rel_err: float
 
     @property
     def a(self) -> int:
@@ -234,21 +226,23 @@ class ReflectionCore:
         )
 
 
-def build_reflection_core(
-    ladder: LadderSystem, slope_table: SlopeTable, validate: bool = True
-) -> ReflectionCore:
+def build_reflection_core(ladder: LadderSystem, slope_table: SlopeTable) -> ReflectionCore:
     """Assemble kernel rows, stationary law, Doeblin constant, and slope rows
-    on the start states x = 0..max(2a, 8)."""
+    on the start states x = 0..max(2a, 8), and check the slope rows against
+    the Richardson slope of the s-weighted kernel (two independent routes to
+    the same matrix). The check reads the rows just built; its error is
+    `slope_rel_err`, and the caller decides whether it is too large."""
     a = ladder.a
     xs = list(range(0, max(2 * a, 8) + 1))
     rows = r_rows(ladder, xs)
     core = np.array([rows[x] for x in range(1, a + 1)])
     nu, convention = stationary_nu(ladder)
     kappa = doeblin_kappa(ladder)
-    tilde = r_tilde_rows(ladder, slope_table, xs, validate=validate)
+    tilde = r_tilde_rows(ladder, slope_table, xs)
+    err = kernel_slope_oracle_error(ladder, rows, tilde)
     core.flags.writeable = False
     return ReflectionCore(
-        ladder, tuple(xs), rows, core, nu, convention, kappa, tilde
+        ladder, tuple(xs), rows, core, nu, convention, kappa, tilde, err
     )
 
 

@@ -31,9 +31,9 @@ RICHARDSON_S = tuple(1.0 - eps for eps in RICHARDSON_EPS)  # where the oracles f
 SLOPE_REL_TOL = 1e-3
 
 
-def _require_centered(law: LatticeLaw, drift_tol: float = DRIFT_TOL):
+def _require_centered(law: LatticeLaw):
     drift, _ = moments(law)
-    if abs(drift) > drift_tol:
+    if abs(drift) > DRIFT_TOL:
         raise NotCentered(f"law has drift {drift}; tilt to the centered law first")
 
 

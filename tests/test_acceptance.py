@@ -43,6 +43,7 @@ from reflectwalk.reflection import (
     kernel_slope_oracle_error,
     r_rows,
     r_tilde_row,
+    r_tilde_rows,
 )
 from reflectwalk.cli import main
 from conftest import golden_mismatch
@@ -81,18 +82,14 @@ def test_01_wiener_hopf_identity():
 def test_02_first_reflection_identity():
     with criterion(2, "first_reflection_identity", 1.0):
         for law in (LAW_A, LAW_B):
-            for x in (0, 1, 3):
-                for y in (0, 1, 2):
-                    assert verify_first_reflection_identity(law, x, y, 60) < 1e-12
+            assert verify_first_reflection_identity(law, (0, 1, 3), (0, 1, 2), 60) < 1e-12
 
 
 def test_03_ladder_factorization_identities():
     with criterion(3, "ladder_factorization_identities", 1.0):
         for law in (LAW_A, LAW_B):
-            for x in (0, 1, 3):
-                for y in (0, 1, 2):
-                    res_e, res_r = verify_ladder_factorizations(law, x, y, 60)
-                    assert res_e < 1e-12 and res_r < 1e-12
+            res_e, res_r = verify_ladder_factorizations(law, (0, 1, 3), (0, 1, 2), 60)
+            assert res_e < 1e-12 and res_r < 1e-12
 
 
 def test_04_ladder_laws_vs_dp_oracle():
@@ -131,7 +128,9 @@ def test_07_slope_convention_oracle():
         for law in (LAW_A, TILTED_B, LAW_P5):
             ladder = ladder_laws(law)
             table = slopes(law, ladder)
-            assert kernel_slope_oracle_error(ladder, table, range(0, 8)) < 1e-3
+            xs = range(0, 8)
+            rows, tilde_rows = r_rows(ladder, xs), r_tilde_rows(ladder, table, xs)
+            assert kernel_slope_oracle_error(ladder, rows, tilde_rows) < 1e-3
             for y in (0, 1):
                 assert excursion_slope_oracle_error(ladder, table, y, range(0, 8)) < 1e-3
         ladder_a = ladder_laws(LAW_A)
@@ -153,7 +152,7 @@ def test_09_eigenvalue_expansion():
         lam = dominant_eigenvalue(np.array([[r_row_at_s(LAW_A, 1.0 - eps, 1)[0]]]))
         ladder = ladder_laws(LAW_A)
         table = slopes(LAW_A, ladder)
-        core = build_reflection_core(ladder, table, validate=False)
+        core = build_reflection_core(ladder, table)
         nu_rt = core.nu_weighted_tilde_mass()
         assert abs((1.0 - lam) / math.sqrt(eps) + nu_rt) < 0.05 * abs(nu_rt)
 

@@ -78,12 +78,6 @@ class TestCenteredConstants:
         assert asym.provenance["nu_E"] > 0
         assert asym.C > 0
 
-    def test_darboux_amplitude_round_trip(self, law_a):
-        asym = centered_constant(law_a, 0)
-        expected = asym.provenance["nu_E"] / (-asym.provenance["nu_Rtilde_h"])
-        assert asym.frak_A() == pytest.approx(expected, rel=1e-12)
-        assert asym.R == 1.0 and asym.alpha == -0.5
-
     def test_support_holes(self):
         # zero masses inside the window must flow through every stage
         law = law_from_masses({-2: 0.5, 1: 0.25, 3: 0.25})

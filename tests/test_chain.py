@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -41,7 +43,8 @@ class TestStepRow:
     def test_rows_are_stochastic(self):
         for law in random_laws(5, seed=2, centered=False):
             for x in range(0, 6):
-                assert step_row(law, x).total() == pytest.approx(1.0, abs=1e-14)
+                total = math.fsum(step_row(law, x).entries.values())
+                assert total == pytest.approx(1.0, abs=1e-14)
 
     def test_matches_one_step_table(self, law_p5):
         for x in (0, 1, 3):
@@ -84,6 +87,14 @@ class TestNStepTable:
     def test_horizon_guard(self, law_a):
         with pytest.raises(HorizonTooLarge):
             n_step_table(law_a, 0, 20_000)
+
+    def test_float_estimate_refuses_before_the_horizon_cap(self, law_a):
+        # (n + 1) + n (n + 1) / 2 floats passes 5e7 at n = 9,999 on lawA, so
+        # the estimate, not DEFAULT_N_MAX_CAP, is the stored horizon limit;
+        # the budget is checked at the call, so no step runs here
+        n_step_rows(law_a, 0, 9_998)
+        with pytest.raises(HorizonTooLarge, match="floats"):
+            n_step_rows(law_a, 0, 9_999)
 
 
 class TestExcursionAndReflection:
@@ -150,34 +161,52 @@ class TestExcursionAndReflection:
 class TestIdentities:
     def test_hand_case(self, law_a):
         # n=1, x=0, y=1: 2/3 = 1/3 (no reflection) + 1/3 * 1 (reflect to 1)
-        assert verify_first_reflection_identity(law_a, 0, 1, 1) == pytest.approx(
+        assert verify_first_reflection_identity(law_a, [0], [1], 1) == pytest.approx(
             0.0, abs=1e-16
         )
 
     def test_first_reflection_grid(self, law_a, law_b):
         for law in (law_a, law_b):
-            for x in (0, 1, 3):
-                for y in (0, 1, 2):
-                    assert verify_first_reflection_identity(law, x, y, 60) < 1e-12
+            assert verify_first_reflection_identity(law, (0, 1, 3), (0, 1, 2), 60) < 1e-12
 
     def test_ladder_factorizations_grid(self, law_a, law_b, law_p5):
         for law in (law_a, law_b, law_p5):
-            for x in (0, 1, 3):
-                for y in (0, 1, 2):
-                    res_e, res_r = verify_ladder_factorizations(law, x, y, 60)
-                    assert res_e < 1e-12 and res_r < 1e-12
+            res_e, res_r = verify_ladder_factorizations(law, (0, 1, 3), (0, 1, 2), 60)
+            assert res_e < 1e-12 and res_r < 1e-12
 
     def test_random_laws_identities(self):
         for law in random_laws(3, seed=17, centered=False):
-            assert verify_first_reflection_identity(law, 2, 1, 40) < 1e-12
-            res_e, res_r = verify_ladder_factorizations(law, 2, 1, 40)
+            assert verify_first_reflection_identity(law, [2], [1], 40) < 1e-12
+            res_e, res_r = verify_ladder_factorizations(law, [2], [1], 40)
             assert res_e < 1e-12 and res_r < 1e-12
+
+    @pytest.mark.parametrize("name", ["law_a", "law_b", "law_p5", "random"])
+    def test_grid_is_max_of_one_pair_checks(self, name, request):
+        # each start is walked once for the whole grid; every y reads that walk
+        if name == "random":
+            law = random_laws(1, seed=23, centered=False)[0]
+        else:
+            law = request.getfixturevalue(name)
+        xs, ys, n = (0, 1, 3), (0, 1, 2, 4), 50
+        pairs = [(x, y) for x in xs for y in ys]
+        first = max(verify_first_reflection_identity(law, [x], [y], n) for x, y in pairs)
+        assert verify_first_reflection_identity(law, xs, ys, n) == first
+        singles = [verify_ladder_factorizations(law, [x], [y], n) for x, y in pairs]
+        ladder = verify_ladder_factorizations(law, xs, ys, n)
+        assert ladder == (max(e for e, _ in singles), max(r for _, r in singles))
+
+    def test_negative_start_is_rejected(self, law_a):
+        # the ladder check walks 0..max(xs); a negative x must not index that list
+        with pytest.raises(InvalidInput):
+            verify_ladder_factorizations(law_a, [-1, 2], [1], 5)
+        with pytest.raises(InvalidInput):
+            verify_first_reflection_identity(law_a, [-1, 2], [1], 5)
 
     def test_identities_stream_past_the_stored_cap(self, law_a):
         # the checks read streamed walks, so only the streamed cap applies
         n = DEFAULT_N_MAX_CAP + 1
-        assert verify_first_reflection_identity(law_a, 2, 1, n) < 1e-12
-        res_e, res_r = verify_ladder_factorizations(law_a, 2, 1, n)
+        assert verify_first_reflection_identity(law_a, [2], [1], n) < 1e-12
+        res_e, res_r = verify_ladder_factorizations(law_a, [2], [1], n)
         assert res_e < 1e-12 and res_r < 1e-12
 
 

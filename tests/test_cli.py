@@ -14,9 +14,11 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reflectwalk import (
+    chain,
     descent_joint_table,
     excursion_series,
     factorize_at,
+    fluctuation,
     ladder_laws,
     load_law,
     n_step_table,
@@ -122,6 +124,44 @@ def test_validate_factorizes_seven_times(law_path, monkeypatch, capsys):
     code, _, _ = run(["validate", "--law", law_path, "--oracle-n", "400"], capsys)
     assert code == 0
     assert len(calls) == 7, calls
+
+
+@pytest.mark.parametrize("law_path", [LAW_A, LAW_B], ids=["lawA", "lawB"])
+def test_validate_walks_each_identity_start_once(law_path, monkeypatch, capsys):
+    # the n = 60 identity grid: starts 0, 1, 3 killed and folded (the landing
+    # point 1 is one of them), the killed starts 0..3 of the ladder check and
+    # one half-line walk for both U+ and T
+    horizons = []
+    evolve = chain._evolve
+
+    def counting(start, taps, offset, n_max, **kwargs):
+        horizons.append(n_max)
+        return evolve(start, taps, offset, n_max, **kwargs)
+
+    monkeypatch.setattr(chain, "_evolve", counting)
+    monkeypatch.setattr(fluctuation, "_evolve", counting)
+    code, _, _ = run(["validate", "--law", law_path, "--oracle-n", "400"], capsys)
+    assert code == 0
+    assert horizons.count(60) == 11, horizons
+
+
+def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):
+    # one row and one slope row per window state, plus the a core rows that
+    # stationary_nu reads; the kernel oracle reads the core's rows
+    calls = {"r_row": 0, "r_tilde_row": 0}
+    for name in calls:
+        fn = getattr(reflection, name)
+
+        def counting(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(reflection, name, counting)
+    argv = ["constants", "--law", LAW_A, "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    window = len(json.loads(out)["internals"]["R_rows"])
+    assert calls == {"r_row": window + 1, "r_tilde_row": window}
 
 
 class TestExitCodes:

@@ -38,6 +38,7 @@ from reflectwalk.reflection import (
     kernel_slope_oracle_error,
     r_rows,
     r_tilde_row,
+    r_tilde_rows,
 )
 from reflectwalk.wiener_hopf import richardson_slope, u_minus_at, u_plus_at
 from conftest import random_laws
@@ -162,9 +163,7 @@ class TestSlopeMatrix:
 
     def test_entries_nonpositive(self, law_p5, ladders):
         table = slopes(law_p5, ladders["p5"])
-        from reflectwalk.reflection import r_tilde_rows
-
-        rows = r_tilde_rows(ladders["p5"], table, range(0, 12), validate=False)
+        rows = r_tilde_rows(ladders["p5"], table, range(0, 12))
         for row in rows.values():
             assert np.all(row <= 0.0)
 
@@ -172,8 +171,9 @@ class TestSlopeMatrix:
         for name, law in [("a", law_a), ("p5", law_p5), ("asym", law_asym)]:
             ladder = ladders[name]
             table = slopes(law, ladder)
-            err = kernel_slope_oracle_error(ladder, table, range(0, 9))
-            assert err < 1e-3
+            xs = range(0, 9)
+            rows, tilde_rows = r_rows(ladder, xs), r_tilde_rows(ladder, table, xs)
+            assert kernel_slope_oracle_error(ladder, rows, tilde_rows) < 1e-3
 
 
 class TestExcursion:
@@ -238,7 +238,7 @@ class TestEigenvalueAndResolvent:
         eps = 1e-4
         lam = dominant_eigenvalue(np.array([[r_row_at_s(law_a, 1 - eps, 1)[0]]]))
         table = slopes(law_a, ladders["a"])
-        core = build_reflection_core(ladders["a"], table, validate=False)
+        core = build_reflection_core(ladders["a"], table)
         nu_rt = core.nu_weighted_tilde_mass()
         assert nu_rt == pytest.approx(-2 * SQRT3, abs=1e-12)
         assert abs((1.0 - lam) / math.sqrt(eps) + nu_rt) < 0.05 * abs(nu_rt)
@@ -273,9 +273,25 @@ class TestEigenvalueAndResolvent:
 
 
 class TestCoreBundle:
+    def test_builds_each_slope_row_once(self, law_p5, ladders, monkeypatch):
+        # the core's own slope check reads the rows it has just built
+        built = []
+
+        def counting(ladder, table, x):
+            built.append(x)
+            return r_tilde_row(ladder, table, x)
+
+        table = slopes(law_p5, ladders["p5"])
+        monkeypatch.setattr(reflection, "r_tilde_row", counting)
+        core = build_reflection_core(ladders["p5"], table)
+        assert sorted(built) == list(core.x_window)
+        xs = core.x_window
+        assert core.slope_rel_err == reference_kernel_error(ladders["p5"], table, xs)
+
     def test_build_and_invariants(self, law_p5, ladders):
         table = slopes(law_p5, ladders["p5"])
-        core = build_reflection_core(ladders["p5"], table, range(0, 12))
+        core = build_reflection_core(ladders["p5"], table)
+        assert core.x_window == tuple(range(0, 9))  # x = 0..max(2a, 8)
         assert core.nu == pytest.approx([0.75, 0.25], abs=1e-12)
         assert core.kappa == pytest.approx(ladders["p5"].U_minus[1], abs=1e-12)
         assert core.nu_weighted_tilde_mass() < 0
@@ -345,7 +361,8 @@ class TestSharedOracleWork:
     def test_kernel_oracle_matches_fresh_reference(self, systems, name):
         ladder, table = systems[name]
         xs = range(0, 2 * ladder.a + 1)
-        assert kernel_slope_oracle_error(ladder, table, xs) == reference_kernel_error(
+        rows, tilde_rows = r_rows(ladder, xs), r_tilde_rows(ladder, table, xs)
+        assert kernel_slope_oracle_error(ladder, rows, tilde_rows) == reference_kernel_error(
             ladder, table, xs
         )
 

@@ -14,7 +14,7 @@ from reflectwalk import (
     roots_z_pm,
     slopes,
 )
-from reflectwalk.wiener_hopf import u_minus_at, u_plus_at
+from reflectwalk.wiener_hopf import SLOPE_REL_TOL, u_minus_at, u_plus_at
 from conftest import random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -133,19 +133,24 @@ class TestSlopes:
             table = slopes(law, ladder)
             assert table.max_rel_err < 1e-3
 
-    def test_wrong_convention_is_rejected(self, law_asym):
+    def test_wrong_convention_is_rejected(self, law_asym, monkeypatch):
         # shifting the descent-potential window to [-k, -1] must trip the oracle
         from dataclasses import replace
 
-        ladder = ladder_laws(law_asym)
-        table = slopes(law_asym, ladder)
-        coef = math.sqrt(2.0) / ladder.sigma
-        wrong = -coef * (np.cumsum(ladder.U_minus) - 1.0)  # sums U^-(-1..-k)
-        from reflectwalk.reflection import r_tilde_rows
+        from reflectwalk import asymptotics
+        from reflectwalk.reflection import build_reflection_core
 
-        bad_table = replace(table, slope_U_minus=wrong)
+        def wrong_slopes(law, ladder):
+            coef = math.sqrt(2.0) / ladder.sigma
+            wrong = -coef * (np.cumsum(ladder.U_minus) - 1.0)  # sums U^-(-1..-k)
+            return replace(slopes(law, ladder), slope_U_minus=wrong)
+
+        ladder = ladder_laws(law_asym)
+        core = build_reflection_core(ladder, wrong_slopes(law_asym, ladder))
+        assert core.slope_rel_err > SLOPE_REL_TOL
+        monkeypatch.setattr(asymptotics, "slopes", wrong_slopes)
         with pytest.raises(SlopeMismatch):
-            r_tilde_rows(ladder, bad_table, range(0, 6), validate=True)
+            asymptotics.centered_objects(law_asym)
 
     def test_richardson_helper_exact_on_sqrt(self):
         # fn(s) = 4 - 2.5 sqrt(1-s) + (1-s) has slope exactly -2.5
