@@ -145,32 +145,36 @@ def drifted_objects(
     """Conjugate the centering tilt's kernel and excursion data back to law.
 
     objects, when given, are the centered objects of that tilt, built with a
-    window of at least max(x, y); their ladder and slopes are used as they are.
+    window of at least max(x, y); their ladder, slopes and core rows are reused.
     """
     info = minimize_mgf(law)
     r0, rho0 = info.r0, info.rho0
+    rows, tilde_rows = {}, {}
     if objects is None:
         tilted = tilt(law, r0)
         ladder = ladder_laws(tilted, depth=default_depth(tilted, max(x, y)))
         slope_table = slopes(tilted, ladder)
     else:
         ladder, slope_table = objects.ladder, objects.slope_table
+        rows, tilde_rows = objects.core.rows, objects.core.tilde_rows
 
     a = ladder.a
     states = list(range(1, a + 1))
     scale = math.sqrt(rho0)
 
-    def conj_row(state: int, row: np.ndarray, tilde: bool) -> np.ndarray:
+    def conj_rows(state: int) -> tuple[np.ndarray, np.ndarray]:
+        # the conjugated kernel row of `state` and its conjugated slope row
+        if state in rows:
+            row, tilde = rows[state], tilde_rows[state]
+        else:
+            row, tilde = r_row(ladder, state), r_tilde_row(ladder, slope_table, state)
         factors = np.array([r0 ** (state + w) for w in range(1, a + 1)])
-        out = row * factors
-        return out * scale if tilde else out
+        return row * factors, tilde * factors * scale
 
-    core = np.array([conj_row(s, r_row(ladder, s), False) for s in states])
-    core_tilde = np.array(
-        [conj_row(s, r_tilde_row(ladder, slope_table, s), True) for s in states]
-    )
-    row_x = conj_row(x, r_row(ladder, x), False)
-    row_x_tilde = conj_row(x, r_tilde_row(ladder, slope_table, x), True)
+    pairs = [conj_rows(s) for s in states]
+    core = np.array([row for row, _ in pairs])
+    core_tilde = np.array([tilde for _, tilde in pairs])
+    row_x, row_x_tilde = conj_rows(x)
 
     e_core = np.array(
         [r0 ** (s - y) * e_value(ladder, s, y) for s in states]

@@ -27,14 +27,13 @@ from .asymptotics import (
     tilting_identity_check,
 )
 from .chain import (
-    excursion_series,
     n_step_rows,
     n_step_series,
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
 from .errors import InvalidInput, ReflectWalkError, SlopeMismatch
-from .fluctuation import descent_joint_table
+from .fluctuation import descent_joint_table, stay_series
 from .laws import Regime, check_hypotheses, load_law, minimize_mgf, moments, tilt
 from .montecarlo import SimConfig, simulate
 from .reflection import (
@@ -286,7 +285,11 @@ def _cmd_validate(args) -> int:
     add("ladder_factorization_excursion", res_e, 1e-12)
     add("ladder_factorization_reflection", res_r, 1e-12)
 
-    descent = descent_joint_table(base, args.oracle_n)
+    # one walk from 0: descent sums over rows 0..oracle_n, excursion over 0..10,000
+    if args.oracle_n < 1:
+        raise InvalidInput(f"horizon n_max must be >= 1, got {args.oracle_n}")
+    stay, killed = stay_series(base, [0], max(args.oracle_n, 10_000))
+    descent = killed[:, : args.oracle_n + 1]
     gaps = [
         _exact_gap(float(ladder.mu_minus[w - 1]), series)
         for w, series in enumerate(descent, start=1)
@@ -344,8 +347,7 @@ def _cmd_validate(args) -> int:
 
     # the tail of the excursion series decays like n^(-3/2), so the partial
     # sum at N sits ~ c/sqrt(N) below the closed form
-    exc = excursion_series(base, 0, [0], 10_000)[0]
-    exc_gap = _exact_gap(e_value(ladder, 0, 0), exc)
+    exc_gap = _exact_gap(e_value(ladder, 0, 0), stay[0][: 10_001])
     add("excursion_partial_below_closed", -exc_gap, 1e-12)
     add("excursion_partial_gap", exc_gap, 0.05)
 

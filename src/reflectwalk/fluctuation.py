@@ -34,21 +34,20 @@ def stay_nonneg_table(law: LatticeLaw, n_max: int) -> tuple:
     return tuple(_read_only(row) for row, _ in _descent_walk(law, n_max, stored=True))
 
 
+def stay_series(law: LatticeLaw, ys, n_max: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
+    """({y: series}, descent) of one streamed stay-nonnegative walk: entry n
+    of series y is P[tau_strict_descent > n, S_n = y], and descent is the
+    array of `descent_joint_table`."""
+    return _columns(_descent_walk(law, n_max), ys, n_max)
+
+
 def descent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
     """Series for (tau_strict_descent, landing point): a read-only (a, n_max + 1)
     array whose row w-1 holds P[tau = n, S_n = -w] at index n, w = 1..a.
     Streams the DP, so large horizons are fine."""
     if n_max < 1:
         raise InvalidInput(f"horizon n_max must be >= 1, got {n_max}")
-    return _columns(_descent_walk(law, n_max), (), n_max)[1]
-
-
-def stay_series(law: LatticeLaw, ys, n_max: int) -> dict[int, np.ndarray]:
-    """Columns of the stay-nonnegative table as series, streamed (row storage free).
-
-    Entry n of series y is P[tau_strict_descent > n, S_n = y].
-    """
-    return _columns(_descent_walk(law, n_max), ys, n_max)[0]
+    return stay_series(law, (), n_max)[1]
 
 
 def ascent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:

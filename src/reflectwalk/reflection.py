@@ -85,18 +85,18 @@ def r_row_at_s(
     return row
 
 
-def stationary_nu(ladder: LadderSystem) -> tuple[np.ndarray, str]:
+def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> tuple[np.ndarray, str]:
     """Stationary probability of the reflection-target chain on [1, a].
 
     Evaluates the closed-form stationary weights and normalizes. The middle
     term's interval typography is ambiguous in the source, so both readings
-    are tried and the one that is actually stationary for the kernel core is
-    kept (they coincide for a = 1). Raises StationarityFailure if neither
-    reading is stationary within STATIONARY_TOL (total variation).
+    are tried and the one that is actually stationary for `core`, the
+    kernel's a x a block as `r_core` builds it, is kept (they coincide for
+    a = 1). Raises StationarityFailure if neither reading is stationary within
+    STATIONARY_TOL (total variation).
     """
     a = ladder.a
     mu = ladder.mu_minus  # mu[v-1] = mass of a ladder step of size -v
-    core = r_core(ladder)
 
     def weights(include_left: bool) -> np.ndarray:
         nu = np.zeros(a)
@@ -236,7 +236,7 @@ def build_reflection_core(ladder: LadderSystem, slope_table: SlopeTable) -> Refl
     xs = list(range(0, max(2 * a, 8) + 1))
     rows = r_rows(ladder, xs)
     core = np.array([rows[x] for x in range(1, a + 1)])
-    nu, convention = stationary_nu(ladder)
+    nu, convention = stationary_nu(ladder, core)
     kappa = doeblin_kappa(ladder)
     tilde = r_tilde_rows(ladder, slope_table, xs)
     err = kernel_slope_oracle_error(ladder, rows, tilde)
@@ -283,12 +283,6 @@ def e_tilde_value(ladder: LadderSystem, slope_table: SlopeTable, x: int, y: int)
         for k in range(0, min(x, y) + 1)
     )
     return renewal + ascent
-
-
-def e_value_at_s(law: LatticeLaw, s: float, x: int, y: int, fp: FactorPair | None = None) -> float:
-    if fp is None:
-        fp = factorize_at(law, s)
-    return _renewal_sum(u_minus_at(fp, x), u_plus_at(fp, y), x, y)
 
 
 def excursion_slope_oracle_error(

@@ -107,8 +107,9 @@ def test_05_stationarity_and_mc_occupation():
         cases = ((LAW_A, 2000, 100, 11, 10), (LAW_P5, 20_000, 300, 2024, 100))
         for law, horizon, paths, seed, burnin in cases:
             ladder = ladder_laws(law)
-            nu, _ = stationary_nu(ladder)
-            assert float(np.sum(np.abs(nu @ r_core(ladder) - nu))) < 1e-10
+            core = r_core(ladder)
+            nu, _ = stationary_nu(ladder, core)
+            assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
             est = estimate_nu(SimConfig(law, 0, horizon, paths, seed), burnin=burnin)
             for w in range(1, law.a + 1):
                 tol = 3 * max(est[w].stderr, 1e-12)

@@ -22,8 +22,7 @@ from reflectwalk import (
     tilting_identity_check,
 )
 from reflectwalk.asymptotics import drifted_objects
-from reflectwalk.reflection import e_value_at_s
-from conftest import random_laws
+from conftest import e_value_at_s, random_laws
 
 SQRT3 = math.sqrt(3.0)
 SQRT_PI = math.sqrt(math.pi)

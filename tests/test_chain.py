@@ -23,8 +23,8 @@ from reflectwalk import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP
-from conftest import assert_trimmed, random_laws, untrimmed_walk
+from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY
+from conftest import assert_matches_untrimmed, assert_trimmed, random_laws, untrimmed_walk
 
 
 class TestStepRow:
@@ -143,19 +143,21 @@ class TestExcursionAndReflection:
             assert np.array_equal(series[y], [row[y] if y < row.size else 0.0 for row in table])
 
     def test_streamed_series_match_tables_past_underflow(self, law_a):
-        # every walk drops the zero tail that 3^-n leaves from n ~ 680 on;
-        # rows and columns must keep every bit of the untrimmed recursion
+        # every walk cuts the tail that 3^-n leaves below TINY from n ~ 645 on;
+        # the streamed columns are the stored table's, bit for bit, and both
+        # keep every bit of the untrimmed recursion down to 1e-280
         n, ys = 1500, [0, 2, 700, 1400]
         fold, _ = untrimmed_walk(law_a, 2, n, fold=True)
         kill, _ = untrimmed_walk(law_a, 2, n)
-        for table, series, full in (
-            (n_step_table(law_a, 2, n), n_step_series(law_a, 2, ys, n), fold),
-            (excursion_table(law_a, 2, n), excursion_series(law_a, 2, ys, n), kill),
+        for table, series, full, walk in (
+            (n_step_table(law_a, 2, n), n_step_series(law_a, 2, ys, n), fold, {"fold": True}),
+            (excursion_table(law_a, 2, n), excursion_series(law_a, 2, ys, n), kill, {}),
         ):
             assert full[n][-1] == 0.0 and table[n].size < full[n].size
-            assert_trimmed(table, full)
+            assert_trimmed(table, full, law_a, **walk)
             for y in ys:
-                assert np.array_equal(series[y], [row[y] if y < row.size else 0.0 for row in full])
+                assert np.array_equal(series[y], [row[y] if y < row.size else 0.0 for row in table])
+                assert_matches_untrimmed(series[y], [row[y] if y < row.size else 0.0 for row in full])
 
 
 class TestIdentities:
@@ -214,7 +216,7 @@ class TestIdentities:
 STREAMED = {
     "n_step_series": lambda law, x, n: n_step_series(law, x, [0], n),
     "excursion_series": lambda law, x, n: excursion_series(law, x, [0], n),
-    "stay_series": lambda law, x, n: stay_series(law, [0], n),
+    "stay_series": lambda law, x, n: stay_series(law, [0], n)[0],
     "descent_joint_table": lambda law, x, n: descent_joint_table(law, n),
     "ascent_joint_table": lambda law, x, n: ascent_joint_table(law, n),
 }
@@ -278,5 +280,5 @@ def test_stored_rows_are_trimmed_and_read_only(name, law, x, n):
     table = TABLES[name](law, x, n)
     assert isinstance(table, tuple) and len(table) == n + 1
     for row in table:
-        assert row.size == 1 or row[-1] != 0.0
+        assert row.size == 1 or row[-1] >= TINY
         assert row.dtype == np.float64 and not row.flags.writeable

@@ -14,15 +14,16 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from reflectwalk import (
+    asymptotics,
     chain,
     descent_joint_table,
-    excursion_series,
     factorize_at,
     fluctuation,
     ladder_laws,
     load_law,
     n_step_table,
     reflection,
+    stay_series,
     wiener_hopf,
 )
 from reflectwalk.cli import _centered_base, _emit_csv, _exact_block, main
@@ -103,8 +104,9 @@ class TestValidatePartialSums:
         assert values["descent_partial_sums_gap"] == max(descent)
         assert values["descent_partial_sums_below_target"] == max(-g for g in descent)
 
-        exc = excursion_series(base, 0, [0], 10_000)[0]
-        gap = exact_gap(e_value(ladder, 0, 0), exc)
+        # entry 0 of the half-line walk from 0 is the excursion column at (0, 0)
+        stay, _ = stay_series(base, [0], 10_000)
+        gap = exact_gap(e_value(ladder, 0, 0), stay[0])
         assert values["excursion_partial_gap"] == gap
         assert values["excursion_partial_below_closed"] == -gap
 
@@ -130,24 +132,31 @@ def test_validate_factorizes_seven_times(law_path, monkeypatch, capsys):
 def test_validate_walks_each_identity_start_once(law_path, monkeypatch, capsys):
     # the n = 60 identity grid: starts 0, 1, 3 killed and folded (the landing
     # point 1 is one of them), the killed starts 0..3 of the ladder check and
-    # one half-line walk for both U+ and T
-    horizons = []
+    # one half-line walk for both U+ and T; past it, one killed walk from 0 on
+    # the base law serves both the descent sums and the excursion sum
+    walks = []
     evolve = chain._evolve
 
     def counting(start, taps, offset, n_max, **kwargs):
-        horizons.append(n_max)
+        walks.append((start, taps, n_max, kwargs.get("fold", False)))
         return evolve(start, taps, offset, n_max, **kwargs)
 
     monkeypatch.setattr(chain, "_evolve", counting)
     monkeypatch.setattr(fluctuation, "_evolve", counting)
     code, _, _ = run(["validate", "--law", law_path, "--oracle-n", "400"], capsys)
     assert code == 0
-    assert horizons.count(60) == 11, horizons
+    assert [n for _, _, n, _ in walks].count(60) == 11, walks
+    base, _, _ = _centered_base(load_law(law_path))
+    long_killed = [
+        n for start, taps, n, fold in walks
+        if n > 60 and not fold and isinstance(start, int) and start == 0 and np.array_equal(taps, base.masses)
+    ]
+    assert long_killed == [10_000]
 
 
 def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):
-    # one row and one slope row per window state, plus the a core rows that
-    # stationary_nu reads; the kernel oracle reads the core's rows
+    # one row and one slope row per window state: the stationarity solve, the
+    # kernel oracle and (for the drifted lawB) the conjugation read the core's
     calls = {"r_row": 0, "r_tilde_row": 0}
     for name in calls:
         fn = getattr(reflection, name)
@@ -157,11 +166,14 @@ def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):
             return _fn(*args)
 
         monkeypatch.setattr(reflection, name, counting)
-    argv = ["constants", "--law", LAW_A, "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
-    code, out, _ = run(argv, capsys)
-    assert code == 0
-    window = len(json.loads(out)["internals"]["R_rows"])
-    assert calls == {"r_row": window + 1, "r_tilde_row": window}
+        monkeypatch.setattr(asymptotics, name, counting)
+    for law_path in (LAW_A, LAW_B):
+        calls.update(r_row=0, r_tilde_row=0)
+        argv = ["constants", "--law", law_path, "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        window = len(json.loads(out)["internals"]["R_rows"])
+        assert calls == {"r_row": window, "r_tilde_row": window}, law_path
 
 
 class TestExitCodes:
@@ -202,9 +214,10 @@ class TestExitCodes:
             (["constants", "--law", LAW_B, "--y", "-2", "--no-oracle"], "y"),
             (["ladder", "--law", LAW_A, "--oracle", "0"], "horizon"),
             (["validate", "--law", LAW_A, "--y", "-1", "--oracle-n", "400"], "y"),
+            (["validate", "--law", LAW_A, "--oracle-n", "0"], "horizon"),
         ],
         ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle",
-             "validate_y"],
+             "validate_y", "validate_oracle_n"],
     )
     def test_bad_state_or_horizon_is_one_line(self, argv, field, capsys):
         code, out, err = run(argv, capsys)

@@ -14,8 +14,8 @@ from reflectwalk import (
     stay_series,
 )
 import reflectwalk.chain as chain
-from reflectwalk.chain import _evolve, _shift_add
-from conftest import assert_trimmed, random_laws, untrimmed_walk
+from reflectwalk.chain import TINY, _evolve, _shift_add
+from conftest import assert_matches_untrimmed, assert_trimmed, random_laws, untrimmed_walk
 
 
 def _reference_shift_add(row, kernel, last_first=True):
@@ -88,7 +88,7 @@ class TestStepKernel:
             for y in range(1, a + 1):
                 folded[y] += full[a - y]
             assert nxt.tolist() == folded
-        assert_trimmed(n_step_table(law, 2, self.STEPS), rows)
+        assert_trimmed(n_step_table(law, 2, self.STEPS), rows, law, fold=True)
 
     def test_ascent_is_mirrored_descent(self, law_p5):
         # the negative side of the weak ascent, stepped in plain Python
@@ -104,21 +104,21 @@ class TestStepKernel:
 
 
 class TestStreamingTrim:
-    """The streaming builders drop the underflowed zero tail of each row; that
-    must not change a single bit of what they return."""
+    """The streaming builders drop the tail of each row that has fallen below
+    the smallest normal float; no entry of at least 1e-280 may change a bit."""
 
-    N = 1500  # the far tail underflows to 0.0 from about n = 680 (lawA), 460 (p5)
+    N = 1500  # the far tail falls below TINY from about n = 645 (lawA), 450 (p5)
 
     def test_descent_and_stay_series_match_full_rows(self, law_a):
         full, killed = untrimmed_walk(law_a, 0, self.N, last_first=True)
-        assert full[self.N][-1] == 0.0
-        assert_trimmed(stay_nonneg_table(law_a, self.N), full)
+        assert np.any((full[self.N] > 0.0) & (full[self.N] < TINY))  # a subnormal tail
+        assert_trimmed(stay_nonneg_table(law_a, self.N), full, law_a, last_first=True)
         assert np.array_equal(descent_joint_table(law_a, self.N), killed.T)
         ys = [0, 3, 900, 1400]
-        columns = stay_series(law_a, ys, self.N)
+        columns, descent = stay_series(law_a, ys, self.N)
+        assert np.array_equal(descent, killed.T)
         for y in ys:
-            expected = [row[y] if y < row.size else 0.0 for row in full]
-            assert np.array_equal(columns[y], expected)
+            assert_matches_untrimmed(columns[y], [row[y] if y < row.size else 0.0 for row in full])
 
     def test_ascent_matches_untrimmed_recursion(self, law_p5):
         series = ascent_joint_table(law_p5, self.N)
@@ -175,7 +175,7 @@ class TestStayTable:
 
     def test_stay_series_matches_table(self, law_asym):
         table = stay_nonneg_table(law_asym, 40)
-        series = stay_series(law_asym, [0, 1, 5], 40)
+        series, _ = stay_series(law_asym, [0, 1, 5], 40)
         for y in (0, 1, 5):
             expected = [row[y] if y < row.size else 0.0 for row in table]
             assert np.array_equal(series[y], expected)
@@ -211,7 +211,7 @@ class TestDescentTable:
         # n^(-1/2) tail shrinking at the expected rate
         for law in (law_a, law_p5):
             ladder = ladder_laws(law)
-            series = stay_series(law, [0, 1, 2], 4000)
+            series, _ = stay_series(law, [0, 1, 2], 4000)
             for y in (0, 1, 2):
                 sums = np.cumsum(series[y])
                 assert np.all(np.diff(sums) >= -1e-16)

@@ -17,6 +17,7 @@ from reflectwalk import (
     law_from_masses,
     ladder_laws,
     n_step_table,
+    r_core,
     simulate,
     stationary_nu,
 )
@@ -292,7 +293,8 @@ class TestEstimateNu:
         assert est[1].point == 1.0
 
     def test_five_point_matches_closed_form(self, law_p5):
-        nu, _ = stationary_nu(ladder_laws(law_p5))
+        ladder = ladder_laws(law_p5)
+        nu, _ = stationary_nu(ladder, r_core(ladder))
         est = estimate_nu(SimConfig(law_p5, 0, 20_000, 300, 2024), burnin=100)
         for w in (1, 2):
             assert abs(est[w].point - nu[w - 1]) < 3 * est[w].stderr

@@ -33,7 +33,6 @@ from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
     e_tilde_value,
-    e_value_at_s,
     excursion_slope_oracle_error,
     kernel_slope_oracle_error,
     r_rows,
@@ -41,7 +40,7 @@ from reflectwalk.reflection import (
     r_tilde_rows,
 )
 from reflectwalk.wiener_hopf import richardson_slope, u_minus_at, u_plus_at
-from conftest import random_laws
+from conftest import e_value_at_s, random_laws
 
 SQRT3 = math.sqrt(3.0)
 
@@ -106,7 +105,7 @@ class TestKernel:
 
 class TestStationaryLaw:
     def test_law_a_is_delta(self, ladders):
-        nu, convention = stationary_nu(ladders["a"])
+        nu, convention = stationary_nu(ladders["a"], r_core(ladders["a"]))
         assert nu == pytest.approx([1.0])
         assert "1-x-y" in convention
 
@@ -114,19 +113,20 @@ class TestStationaryLaw:
         from reflectwalk import minimize_mgf, tilt
 
         tilted = tilt(law_b, minimize_mgf(law_b).r0)
-        nu, _ = stationary_nu(ladder_laws(tilted))
+        ladder = ladder_laws(tilted)
+        nu, _ = stationary_nu(ladder, r_core(ladder))
         assert nu == pytest.approx([1.0])
 
     def test_stationarity_residual(self, ladders):
         for ladder in ladders.values():
-            nu, _ = stationary_nu(ladder)
             core = r_core(ladder)
+            nu, _ = stationary_nu(ladder, core)
             assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
 
     def test_matches_eigenvector(self, ladders):
         for ladder in ladders.values():
-            nu, _ = stationary_nu(ladder)
             core = r_core(ladder)
+            nu, _ = stationary_nu(ladder, core)
             w, V = np.linalg.eig(core.T)
             lead = np.real(V[:, np.argmin(np.abs(w - 1.0))])
             lead = lead / lead.sum()
@@ -135,8 +135,9 @@ class TestStationaryLaw:
     def test_random_centered_laws(self):
         for law in random_laws(5, seed=59, centered=True):
             ladder = ladder_laws(law)
-            nu, _ = stationary_nu(ladder)
-            assert float(np.sum(np.abs(nu @ r_core(ladder) - nu))) < 1e-10
+            core = r_core(ladder)
+            nu, _ = stationary_nu(ladder, core)
+            assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
 
 
 class TestDoeblin:
@@ -337,7 +338,7 @@ def reference_excursion_error(ladder, table, y, xs):
     for x in xs:
         closed = e_tilde_value(ladder, table, x, y)
         oracle = richardson_slope(
-            lambda s: e_value_at_s(law, s, x, y, factorize_at(law, s)),
+            lambda s: e_value_at_s(law, s, x, y),
             e_value(ladder, x, y),
         )
         worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-6))
