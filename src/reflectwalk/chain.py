@@ -1,23 +1,31 @@
 """Exact finite-horizon evolution of the reflected chain X_{n+1} = |X_n + Y|.
 
-Every exact law in the package comes from one DP engine: the step kernel
-`_shift_add` and the stepping generator `_evolve`. A walk steps a row of
-masses over the states 0, 1, ... by one increment; landings below 0 either
-fold onto their absolute value (the reflected chain) or are killed and
-reported (the excursion, the first reflection, the ladder epochs). The
-builders here and in `fluctuation` only pick the walk and read it: a stored
-table keeps its rows, and everything else goes through `_columns`, the one
-reader, which turns a walk into its entry columns and its killed masses.
+Every exact law in the package comes from one DP engine, the stepping
+generator `_evolve`. A walk steps a row of masses over the states 0, 1, ...
+by one increment; landings below 0 either fold onto their absolute value
+(the reflected chain) or are killed and reported (the excursion, the first
+reflection, the ladder epochs). The builders here and in `fluctuation` only
+pick the walk and read it: a stored table keeps its rows, and everything
+else goes through `_columns`, the one reader, which makes its walk and turns
+it into entry columns and killed masses.
 A series in s is held as its coefficients: a read-only float64 array whose
 entry n is the coefficient of s^n, n = 0..n_max. A stored table is a tuple
 of read-only rows, row n over the states 0, 1, ..., its sub-TINY tail cut.
 
-The kernel is a fixed-order shift-and-add: it is elementwise, so its rows
-are the same bits on every IEEE-754 build. The builders of this module sum
-the taps first-last, those of `fluctuation` last-first. So the two modules
-round along different paths and the identity checks between them are not
-vacuous. `_evolve` checks the start, horizon and size of every walk in
-`_check_budget`, the one place that holds the caps.
+A walk steps inside two zero-padded buffers, allocated once and grown
+geometrically: each step writes the next row into the other buffer, so a
+row the walk yields lives until its next step, and a stored table keeps a
+copy. The kernel is a fixed-order shift-and-add: it is elementwise, so its
+rows are the same bits on every IEEE-754 build. The builders of this module
+sum the taps first-last, those of `fluctuation` last-first. So the two
+modules round along different paths and the identity checks between them
+are not vacuous. `_columns` steps only the dependency cone of what it reads:
+mass moves down at most a states a step, so an entry of row n past R +
+a (n_max - n), R the deepest entry read, cannot reach one by n_max. The cone
+differs from the uncut walk only through the sub-TINY trim at its edge,
+which moves the same class of entries as the trim of every row: none of at
+least 1e-280, none by more than 1e-300. `_evolve` checks the start, horizon
+and size of every walk in `_check_budget`, the one place that holds the caps.
 """
 
 from __future__ import annotations
@@ -62,38 +70,6 @@ def step_row(law: LatticeLaw, x: int) -> StepRow:
     return StepRow(x, entries)
 
 
-def _shift_add(row: np.ndarray, taps: list, order: range) -> np.ndarray:
-    """Full linear convolution, out[t] = sum_k taps[k] * row[t - k].
-
-    The taps are summed in `order`: the first writes its products, each later
-    nonzero tap adds its own. Fixing the order fixes the bits. A law's outer
-    masses are positive, so the first tap of either order is never skipped.
-    """
-    length = row.shape[0]
-    out = np.zeros(length + len(taps) - 1)
-    k = order[0]
-    np.multiply(row, taps[k], out=out[k : k + length])
-    product = np.empty(length)
-    for k in order[1:]:
-        if taps[k] != 0.0:
-            seg = out[k : k + length]
-            np.add(seg, np.multiply(row, taps[k], out=product), out=seg)
-    return out
-
-
-def _trim_tail(row: np.ndarray) -> np.ndarray:
-    """Drop the trailing entries below TINY of a row (keeping one entry).
-
-    The far tail of a DP row falls below TINY long before the row stops
-    growing, and on x86-64 a step over subnormals runs about 20 times slower.
-    Later entries of at least 1e-280 keep the untrimmed bits, others move < 1e-300.
-    """
-    end = row.shape[0]
-    while end > 1 and row[end - 1] < TINY:
-        end -= 1
-    return row[:end]
-
-
 def _check_budget(x: int, n_max: int, a: int, b: int, stored: bool):
     """The one input check of every DP walk: x and n_max nonnegative, n_max
     under its cap (DEFAULT_N_MAX_CAP for stored rows, STREAMING_N_MAX_CAP for
@@ -113,65 +89,105 @@ def _check_budget(x: int, n_max: int, a: int, b: int, stored: bool):
         raise HorizonTooLarge(f"table would hold ~{estimate} floats, cap {MEMORY_CAP_FLOATS}")
 
 
-def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *,
-            fold: bool = False, last_first: bool = False, stored: bool = False):
+def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = False,
+            last_first: bool = False, stored: bool = False, reach: int | None = None):
     """The one DP stepping loop: an iterator of (row, killed) for n = 0..n_max.
 
     `start` is a start state x or a start row. Tap k of `taps` moves mass by
     k - offset, so a step lands below 0 at up to `offset` = a states. With
     `fold` those landings add onto their absolute value and killed is None;
-    otherwise killed[w - 1] is the mass landing on -w (zeros at n = 0), a view
-    into the step. The taps are summed last-first if `last_first`, else
-    first-last. Every row has its sub-TINY tail trimmed; `stored` selects the caps
-    of a walk whose every row is kept. The budget is checked here, at the
-    call, so callers may allocate for n_max before the first step.
+    otherwise killed[w - 1] is the mass landing on -w (zeros at n = 0). The
+    taps are summed last-first if `last_first`, else first-last. Every row has
+    its sub-TINY tail trimmed; with `reach`, row n is first cut after entry
+    reach + a (n_max - n), since no entry past it can reach an entry <= reach
+    by step n_max. Row and killed are views of the walk's buffers, live until
+    the next step. `stored` selects the caps of a walk whose every row is
+    kept. The budget is checked here, at the call, so callers may allocate
+    for n_max before the first step.
     """
     if isinstance(start, np.ndarray):
         row, x = start, start.shape[0] - 1
     else:
         row, x = None, start
-    a = offset
-    _check_budget(x, n_max, a, len(taps) - 1 - a, stored)
-    if row is None:
-        row = np.zeros(x + 1)
-        row[x] = 1.0
-    order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
+    a, pad = offset, len(taps) - 1  # state j of a row sits at buffer index pad + j
+    b = pad - a
+    _check_budget(x, n_max, a, b, stored)
+    order = range(pad, -1, -1) if last_first else range(pad + 1)
     taps = taps.tolist()
+    terms = [(pad - k, taps[k]) for k in order if taps[k] != 0.0]  # (read offset, tap)
+    mul, add = np.multiply, np.add
 
-    def steps(row):
-        yield row, None if fold else np.zeros(a)
-        for _ in range(n_max):
-            out = _shift_add(row, taps, order)
-            row, killed = out[a:], out[:a][::-1]
-            if fold:
-                if row.shape[0] <= a:
-                    row = np.concatenate((row, np.zeros(a + 1 - row.shape[0])))
-                row[1 : a + 1] += killed
-                killed = None
-            row = _trim_tail(row)
-            yield row, killed
+    def buffer(size: int):
+        # a zero buffer, its a landing slots read as killed, and its fold targets
+        buf = np.zeros(size)
+        return buf, buf[pad - a : pad][::-1], buf[pad + 1 : pad + a + 1]
 
-    return steps(row)
+    def steps():
+        length, prev = x + 1, 0  # the row lengths that the two buffers hold
+        (cur, landed, mirror), other = buffer(4 * (pad + length)), buffer(4 * (pad + length))
+        product = np.empty(cur.size)
+        if row is None:
+            cur[pad + x] = 1.0
+        else:
+            cur[pad : pad + length] = row
+        cover, views = 0, {}
+        for n in range(n_max + 1):
+            if n:
+                landed.fill(0.0)  # read by now
+                width = max(length + b, a + 1) if fold else length + b
+                if reach is not None:
+                    width = min(width, reach + a * (n_max - n) + 1)
+                # the step computes `cover` states, up to 128 spare, through views sliced only
+                # when `cover` moves: spare entries cost less than slicing every step
+                if not width <= cover < width + 128:
+                    cover, views = width + 64, {}
+                    if pad + a + cover > cur.size:  # grow both buffers geometrically
+                        (grown, landed, mirror), other = buffer(2 * (pad + a + cover)), buffer(2 * (pad + a + cover))
+                        grown[: pad + length] = cur[: pad + length]
+                        cur, prev, product = grown, 0, np.empty(grown.size)
+                nxt, next_landed, next_mirror = other
+                if n % 2 not in views:  # the step computes entries -a .. cover - 1
+                    span = a + cover
+                    views[n % 2] = nxt[pad - a : pad + cover], product[:span], [(cur[s : s + span], t) for s, t in terms]
+                out, scratch, ((head, t), *rest) = views[n % 2]
+                mul(head, t, out)
+                for src, t in rest:
+                    add(out, mul(src, t, scratch), out)
+                if fold and width > a:
+                    add(next_mirror, next_landed, next_mirror)
+                elif fold:  # the cone cuts the fold targets too
+                    out[a + 1 : a + width] += out[a + 1 - width : a][::-1]
+                end = width
+                while end > 1 and out[a + end - 1] < TINY:
+                    end -= 1
+                nxt[pad + end : pad + max(cover, prev)] = 0.0  # the cut tail, and what row n - 1 left
+                other, (cur, landed, mirror) = (cur, landed, mirror), other
+                length, prev = end, length
+            yield cur[pad : pad + length], None if fold else landed
+
+    return steps()
 
 
-def _columns(walk, ys, n_max: int):
-    """The one reader of a walk: rows 0..n_max, read as series in n.
+def _columns(start, taps: np.ndarray, offset: int, ys, n_max: int, *,
+             fold: bool = False, last_first: bool = False):
+    """The one reader of a walk: the walk `_evolve` makes of these arguments,
+    rows 0..n_max read as series in n.
 
     Returns ({y: series}, killed). Series y holds entry y of row n at index n
     (0 where that row is too short); killed[w - 1] holds, at index n, the
     mass step n killed on -w, and is None for a fold walk. All are read-only
-    float64 arrays. The walk is never stepped past row n_max.
+    float64 arrays. The walk is stepped only in the cone of the deepest y; the
+    mass step n kills comes from states below a of row n - 1, inside any cone.
     """
     ys = sorted(set(int(y) for y in ys))
+    walk = _evolve(start, taps, offset, n_max, fold=fold, last_first=last_first, reach=max([0, *ys]))
     out = np.zeros((len(ys), n_max + 1))
-    killed = None
-    for n, (row, lost) in zip(range(n_max + 1), walk):
+    killed = None if fold else np.zeros((offset, n_max + 1))
+    for n, (row, lost) in enumerate(walk):
         for i, y in enumerate(ys):
             if 0 <= y < row.shape[0]:
                 out[i, n] = row[y]
-        if lost is not None:
-            if killed is None:
-                killed = np.zeros((lost.shape[0], n_max + 1))
+        if killed is not None:
             killed[:, n] = lost
     for array in (out, killed):
         if array is not None:
@@ -180,6 +196,8 @@ def _columns(walk, ys, n_max: int):
 
 
 def _read_only(row: np.ndarray) -> np.ndarray:
+    """A read-only copy of a live row, for a caller that keeps it."""
+    row = row.copy()
     row.flags.writeable = False
     return row
 
@@ -208,7 +226,7 @@ def reflection_time_table(law: LatticeLaw, x: int, n_max: int) -> np.ndarray:
     """Joint law of (first reflection time, landing point w in [1, a]): a
     read-only (a, n_max + 1) array whose row w-1 holds, at index n, the
     probability that the first reflection happens at n and lands on w."""
-    return _columns(_evolve(x, law.masses, law.a, n_max), (), n_max)[1]
+    return _columns(x, law.masses, law.a, (), n_max)[1]
 
 
 def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
@@ -218,12 +236,12 @@ def n_step_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarr
     Holds only the current row, so horizons beyond the full-table memory cap
     are fine (the asymptotics oracles need them for laws with rho near 1).
     """
-    return _columns(_evolve(x, law.masses, law.a, n_max, fold=True), ys, n_max)[0]
+    return _columns(x, law.masses, law.a, ys, n_max, fold=True)[0]
 
 
 def excursion_series(law: LatticeLaw, x: int, ys, n_max: int) -> dict[int, np.ndarray]:
     """Columns of the excursion table as series, streamed without row storage."""
-    return _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max)[0]
+    return _columns(x, law.masses, law.a, ys, n_max)[0]
 
 
 def verify_first_reflection_identity(law: LatticeLaw, xs, ys, n_max: int) -> float:
@@ -238,7 +256,7 @@ def verify_first_reflection_identity(law: LatticeLaw, xs, ys, n_max: int) -> flo
     w once folded; every y is read from those walks. So the grid result is
     the max of the one-pair results, bit for bit.
     """
-    killed = {x: _columns(_evolve(x, law.masses, law.a, n_max), ys, n_max) for x in sorted(set(xs))}
+    killed = {x: _columns(x, law.masses, law.a, ys, n_max) for x in sorted(set(xs))}
     landings = {w for w in range(1, law.a + 1) if any(np.any(r[w - 1]) for _, r in killed.values())}
     full = {x: n_step_series(law, x, ys, n_max) for x in sorted(set(killed) | landings)}
     worst = 0.0
@@ -278,7 +296,7 @@ def verify_ladder_factorizations(law: LatticeLaw, xs, ys, n_max: int) -> tuple[f
         return descent[-v - 1] if -law.a <= v <= -1 else zero
 
     starts = range(max(xs, default=-1) + 1)
-    walks = [_columns(_evolve(w, law.masses, law.a, n_max), ys, n_max) for w in starts]
+    walks = [_columns(w, law.masses, law.a, ys, n_max) for w in starts]
     worst_e = worst_r = 0.0
     for x in xs:
         for y in ys:

@@ -23,22 +23,19 @@ from .errors import InvalidInput
 from .laws import LatticeLaw
 
 
-def _descent_walk(law: LatticeLaw, n_max: int, stored: bool = False):
-    """The free walk from 0, killed at its first strict descent."""
-    return _evolve(0, law.masses, law.a, n_max, last_first=True, stored=stored)
-
-
 def stay_nonneg_table(law: LatticeLaw, n_max: int) -> tuple:
     """Joint law of staying nonnegative: read-only row n holds
-    P[tau_strict_descent > n, S_n = y] at index y."""
-    return tuple(_read_only(row) for row, _ in _descent_walk(law, n_max, stored=True))
+    P[tau_strict_descent > n, S_n = y] at index y: the free walk from 0,
+    killed at its first strict descent."""
+    walk = _evolve(0, law.masses, law.a, n_max, last_first=True, stored=True)
+    return tuple(_read_only(row) for row, _ in walk)
 
 
 def stay_series(law: LatticeLaw, ys, n_max: int) -> tuple[dict[int, np.ndarray], np.ndarray]:
     """({y: series}, descent) of one streamed stay-nonnegative walk: entry n
     of series y is P[tau_strict_descent > n, S_n = y], and descent is the
     array of `descent_joint_table`."""
-    return _columns(_descent_walk(law, n_max), ys, n_max)
+    return _columns(0, law.masses, law.a, ys, n_max, last_first=True)
 
 
 def descent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
@@ -58,12 +55,11 @@ def ascent_joint_table(law: LatticeLaw, n_max: int) -> np.ndarray:
     # After the first step, h[i] holds the mass at -1 - i that has not yet
     # ascended. Mirrored (z = -1 - y) it is a walk with reversed taps, killed
     # at re-entry into [0, inf): its killed[j] lands on j. Walk step k is time
-    # n = k + 1: the walk keeps the caps of horizon n_max, but only its rows
-    # 0..n_max - 1 are read, so its last step never runs.
+    # n = k + 1: the walk keeps the caps of horizon n_max, and its last row
+    # is not read.
     h = np.array([law.mass(-1 - i) for i in range(law.a)])
-    walk = _evolve(h, law.masses[::-1], law.b, n_max, last_first=True)
     coeffs = np.zeros((law.b + 1, n_max + 1))
-    coeffs[: law.b, 1:] = _columns(walk, (), n_max - 1)[1]
+    coeffs[: law.b, 1:] = _columns(h, law.masses[::-1], law.b, (), n_max, last_first=True)[1][:, :n_max]
     # first step leaves the origin: landing >= 0 means tau+ = 1
     coeffs[:, 1] = [law.mass(j) for j in range(law.b + 1)]
     coeffs.flags.writeable = False

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from reflectwalk import LatticeLaw, factorize_at, law_from_masses, minimize_mgf, tilt
-from reflectwalk.chain import TINY, _shift_add
+from reflectwalk.chain import TINY
 from reflectwalk.reflection import _renewal_sum
 from reflectwalk.wiener_hopf import u_minus_at, u_plus_at
 
@@ -49,13 +49,33 @@ def random_laws(count: int, seed: int, centered: bool):
     return laws
 
 
+def shift_add(row: np.ndarray, taps: list, order: range) -> np.ndarray:
+    """Full linear convolution, out[t] = sum_k taps[k] * row[t - k], in a
+    fresh array: the reference kernel that `dp_step` steps with.
+
+    The taps are summed in `order`: the first writes its products, each later
+    nonzero tap adds its own, as in `chain._evolve`. A law's outer masses are
+    positive, so the first tap of either order is never skipped.
+    """
+    length = row.shape[0]
+    out = np.zeros(length + len(taps) - 1)
+    k = order[0]
+    np.multiply(row, taps[k], out=out[k : k + length])
+    product = np.empty(length)
+    for k in order[1:]:
+        if taps[k] != 0.0:
+            seg = out[k : k + length]
+            np.add(seg, np.multiply(row, taps[k], out=product), out=seg)
+    return out
+
+
 def dp_step(row: np.ndarray, law: LatticeLaw, fold=False, last_first=False):
-    """One step of the DP walk by `_shift_add` alone: the whole next row (no
+    """One step of the DP walk by `shift_add` alone: the whole next row (no
     tail cut) and the killed masses, entry w-1 the mass landing on -w (zero
     with `fold`, where it lands on w instead)."""
     a, taps = law.a, law.masses.tolist()
     order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
-    out = _shift_add(row, taps, order)
+    out = shift_add(row, taps, order)
     row, dropped = out[a:], out[:a][::-1]
     if fold:
         row = np.concatenate((row, np.zeros(max(0, a + 1 - row.size))))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from reflectwalk import (
@@ -23,8 +23,8 @@ from reflectwalk import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY
-from conftest import assert_matches_untrimmed, assert_trimmed, random_laws, untrimmed_walk
+from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY, _columns, _evolve
+from conftest import assert_matches_untrimmed, assert_trimmed, dp_step, random_laws, untrimmed_walk
 
 
 class TestStepRow:
@@ -95,6 +95,21 @@ class TestNStepTable:
         n_step_rows(law_a, 0, 9_998)
         with pytest.raises(HorizonTooLarge, match="floats"):
             n_step_rows(law_a, 0, 9_999)
+
+    def test_a_shrinking_row_leaves_nothing_behind(self):
+        # a row can end well short of the row before it: with a 1e-9 up-move
+        # the far tail falls below TINY from n = 35 on, and a start row whose
+        # last entry steps below TINY loses about 100 states at once. What the
+        # longer row left in a reused buffer is zeroed: no buffer holds
+        # anything past the row it yields, and every row is the trimmed step
+        law = law_from_masses({-3: 0.5, -2: 0.5 - 1e-9, 1: 1e-9})
+        whole, _ = untrimmed_walk(law, 6, 40, fold=True)
+        assert_trimmed(n_step_table(law, 6, 40), whole, law, fold=True)
+        start = np.zeros(101)
+        start[[0, 100]] = 0.5, 3e-308
+        for row, _ in _evolve(start, law_from_masses({-1: 0.5, 1: 0.5}).masses, 1, 40, stored=True):
+            begin = (row.ctypes.data - row.base.ctypes.data) // row.itemsize
+            assert not row.base[begin + row.size :].any()
 
 
 class TestExcursionAndReflection:
@@ -282,3 +297,66 @@ def test_stored_rows_are_trimmed_and_read_only(name, law, x, n):
     for row in table:
         assert row.size == 1 or row[-1] >= TINY
         assert row.dtype == np.float64 and not row.flags.writeable
+
+
+# every odd state of the walk from an even start holds exactly 0
+PERIODIC = law_from_masses({-2: 0.5, 2: 0.5})
+
+
+@settings(max_examples=120, deadline=None)
+@given(law=st.one_of(lattice_laws(), st.just(PERIODIC)), x=st.integers(0, 5),
+       ys=st.sets(st.integers(0, 6), max_size=3), n=st.integers(0, 300), fold=st.booleans(),
+       last_first=st.booleans())
+# the cone of y = 1 cuts the last row before the fold target 2
+@example(law=law_from_masses({k: 0.2 for k in range(-2, 3)}), x=0, ys={1}, n=5, fold=True, last_first=False)
+@example(law=PERIODIC, x=1, ys={1}, n=3, fold=True, last_first=True)
+# the cone's edge trim drops a subnormal entry that the uncut walk keeps
+@example(law=law_from_masses({-2: 1e-300, -1: 0.0625, 1: 1.0 - 0.0625 - 2e-300, 2: 1e-300}), x=0, ys={1},
+         n=30, fold=False, last_first=False)
+def test_cone_columns_match_the_uncut_walk(law, x, ys, n, fold, last_first):
+    """`_columns` steps row n only up to entry R + a (n_max - n), R the deepest
+    entry it reads. The cone can differ from the uncut walk only through the
+    sub-TINY trim at its edge, the same class of entries that the trim of
+    every row moves. So each series and the killed array match the untrimmed
+    walk as `assert_matches_untrimmed` states; and where the uncut walk that
+    the stored tables keep holds no subnormal entry, the edge trim cuts only
+    zeros, so they equal its columns bit for bit."""
+    columns, killed = _columns(x, law.masses, law.a, ys, n, fold=fold, last_first=last_first)
+    walk = _evolve(x, law.masses, law.a, n, fold=fold, last_first=last_first, stored=True)
+    table, lost = zip(*((row.copy(), None if k is None else k.copy()) for row, k in walk))
+    exact = not any(np.any((row > 0.0) & (row < TINY)) for row in table)
+    whole, whole_killed = untrimmed_walk(law, x, n, fold, last_first)
+    assert sorted(columns) == sorted(ys)
+    for y, series in columns.items():
+        assert_matches_untrimmed(series, [row[y] if y < row.size else 0.0 for row in whole])
+        assert not exact or np.array_equal(series, [row[y] if y < row.size else 0.0 for row in table])
+    if fold:
+        assert killed is None
+    else:
+        for w in range(law.a):
+            assert_matches_untrimmed(killed[w], whole_killed[:, w])
+        assert not exact or np.array_equal(killed, np.array(lost).T)
+
+
+# a stored walk's rows, as (law, horizon) -> iterator, with its fold and tap order
+KEPT = {
+    "n_step_rows": (lambda law, n: n_step_rows(law, 2, n), True, False),
+    "excursion_table": (lambda law, n: excursion_table(law, 2, n), False, False),
+    "stay_nonneg_table": (lambda law, n: stay_nonneg_table(law, n), False, True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(KEPT))
+def test_kept_rows_outlive_the_walk(name, law_asym):
+    # the walk steps in two reused buffers; each row it hands out is a copy,
+    # so after the walk has ended every kept row is still read-only and still
+    # the trimmed step of the row before it (the tail falls below TINY and
+    # the buffers grow on the way)
+    rows_of, fold, last_first = KEPT[name]
+    kept = list(rows_of(law_asym, 800))
+    for before, row in zip(kept, kept[1:]):
+        assert not row.flags.writeable
+        assert row.size == 1 or row[-1] >= TINY
+        step, _ = dp_step(before, law_asym, fold, last_first)
+        assert np.array_equal(row, step[: row.size]) and np.all(step[row.size :] < TINY)
+    assert not kept[0].flags.writeable

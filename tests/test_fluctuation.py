@@ -14,8 +14,9 @@ from reflectwalk import (
     stay_series,
 )
 import reflectwalk.chain as chain
-from reflectwalk.chain import TINY, _evolve, _shift_add
-from conftest import assert_matches_untrimmed, assert_trimmed, random_laws, untrimmed_walk
+import reflectwalk.fluctuation as fluctuation
+from reflectwalk.chain import TINY, _evolve
+from conftest import assert_matches_untrimmed, assert_trimmed, random_laws, shift_add, untrimmed_walk
 
 
 def _reference_shift_add(row, kernel, last_first=True):
@@ -46,7 +47,7 @@ class TestStepKernel:
             row = rng.random(length)
             for last_first in (True, False):
                 order = range(len(taps) - 1, -1, -1) if last_first else range(len(taps))
-                got = _shift_add(row, taps, order).tolist()
+                got = shift_add(row, taps, order).tolist()
                 assert got == _reference_shift_add(row.tolist(), taps, last_first)
 
     def test_halfline_step_fixed_order(self):
@@ -127,7 +128,7 @@ class TestStreamingTrim:
         order = range(len(flipped) - 1, -1, -1)
         h = np.array([law_p5.mass(-1 - i) for i in range(law_p5.a)])
         for n in range(2, self.N + 1):
-            full = _shift_add(h, flipped, order)
+            full = shift_add(h, flipped, order)
             h, exits = full[b:], full[:b][::-1]
             assert exits.tolist() == [series[j][n] for j in range(b)]
         assert h[-1] == 0.0
@@ -165,11 +166,15 @@ class TestStayTable:
             stay_nonneg_table(law_a, 200)
 
     def test_horizon_cap_before_any_step(self, law_a, monkeypatch):
-        # the stored tables share one horizon cap, checked before the first step
-        def no_step(*args):
-            raise AssertionError("a DP step ran")
+        # the stored tables share one horizon cap, checked when the walk is
+        # made: a walk that passed the check is never stepped here
+        evolve = chain._evolve
 
-        monkeypatch.setattr(chain, "_shift_add", no_step)
+        def no_step(*args, **kwargs):
+            evolve(*args, **kwargs)
+            raise AssertionError("the walk passed its budget check")
+
+        monkeypatch.setattr(fluctuation, "_evolve", no_step)
         with pytest.raises(HorizonTooLarge, match="n_max 10001 exceeds cap 10000"):
             stay_nonneg_table(law_a, 10_001)
 
