@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import n_step_series
-from .errors import NegativeDriftUnsupported, NotCentered, ReflectWalkError, SlopeMismatch
+from .errors import InvalidInput, NegativeDriftUnsupported, NotCentered, ReflectWalkError, SlopeMismatch
 from .laws import LatticeLaw, Regime, check_hypotheses, minimize_mgf, tilt
 from .reflection import (
     ReflectionCore,
@@ -267,6 +267,8 @@ def oracle_constant_centered(
     law: LatticeLaw, y: int, x: int = 0, n_max: int = 4000
 ) -> float:
     """DP extrapolation of sqrt(n) P_x[X_n = y] against c0 + c1/sqrt(n)."""
+    if n_max < 2:  # the fit window n_max // 2 .. n_max must leave out n = 0
+        raise InvalidInput(f"horizon n_max must be >= 2, got {n_max}")
     column = n_step_series(law, x, [y], n_max)[y]
     ns = np.arange(n_max // 2, n_max + 1)
     values = column[ns] * np.sqrt(ns)
@@ -292,6 +294,8 @@ def oracle_constant_drifted(
     """DP extrapolation of log P_x[X_n = y] - n log rho + 1.5 log n against c + d/n."""
     if n_max is None:
         n_max = drifted_oracle_horizon(rho)
+    if n_max < 2:  # the fit window n_max // 2 .. n_max must leave out n = 0
+        raise InvalidInput(f"horizon n_max must be >= 2, got {n_max}")
     column = n_step_series(law, x, [y], n_max)[y]
     ns = np.arange(n_max // 2, n_max + 1)
     probs = column[ns]
@@ -318,11 +322,11 @@ def constant_report(
     """
     asym = asymptotic_law(law, x, y, objects)
     if asym.regime is Regime.CENTERED:
-        n_max = oracle_n or 4000
+        n_max = 4000 if oracle_n is None else oracle_n
         tol = CENTERED_GAP_TOL
         oracle = oracle_constant_centered(law, y, x=x, n_max=n_max)
     else:
-        n_max = oracle_n or drifted_oracle_horizon(asym.rho)
+        n_max = drifted_oracle_horizon(asym.rho) if oracle_n is None else oracle_n
         tol = DRIFTED_GAP_TOL
         oracle = oracle_constant_drifted(law, x, y, asym.rho, n_max=n_max)
     gap = abs(asym.C - oracle) / abs(asym.C)

@@ -86,8 +86,7 @@ def _centered_base(law):
 # ---------------------------------------------------------------- commands
 
 
-def _cmd_analyze(args) -> int:
-    law = load_law(args.law)
+def _cmd_analyze(args, law) -> int:
     report = check_hypotheses(law, args.drift_tol)
     info = minimize_mgf(law)
     drift, variance = moments(law)
@@ -106,8 +105,7 @@ def _cmd_analyze(args) -> int:
     return 0
 
 
-def _cmd_ladder(args) -> int:
-    law = load_law(args.law)
+def _cmd_ladder(args, law) -> int:
     base, r0, tilted = _centered_base(law)
 
     if args.oracle is not None:
@@ -124,6 +122,8 @@ def _cmd_ladder(args) -> int:
         _emit_csv("n,w,partial_sum,target,gap", (("%d,%d,%.12g,%.12g,%.12g\n", r) for r in rows))
         return 0
 
+    if args.emit_depth < 0:
+        raise InvalidInput(f"emit depth must be >= 0, got {args.emit_depth}")
     ladder = ladder_laws(base, depth=args.depth)
     table = slopes(base, ladder)
     emit = min(ladder.depth, args.emit_depth)
@@ -151,8 +151,8 @@ def _cmd_ladder(args) -> int:
     return 0
 
 
-def _cmd_exact(args) -> int:
-    rows = n_step_rows(load_law(args.law), args.start, args.n)
+def _cmd_exact(args, law) -> int:
+    rows = n_step_rows(law, args.start, args.n)
     _emit_csv("n,y,probability", map(_exact_block, range(args.n + 1), rows))
     return 0
 
@@ -165,8 +165,7 @@ def _exact_block(n: int, row: np.ndarray):
     return f"{n},%d,%.12g\n" * ys.size, tuple(cells)
 
 
-def _cmd_constants(args) -> int:
-    law = load_law(args.law)
+def _cmd_constants(args, law) -> int:
     objects = None
     if args.dump_internals:
         # one build serves both the constant and the dump; deeper potentials
@@ -203,8 +202,7 @@ def _cmd_constants(args) -> int:
     return 0
 
 
-def _cmd_compare(args) -> int:
-    law = load_law(args.law)
+def _cmd_compare(args, law) -> int:
     asym = asymptotic_law(law, args.x, args.y)
     column = n_step_series(law, args.x, [args.y], args.n_max)[args.y]
     grid = [n for n in (2**k for k in range(4, 40)) if n <= args.n_max]
@@ -218,19 +216,13 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
-    law = load_law(args.law)
+def _cmd_simulate(args, law) -> int:
     config = SimConfig(law, args.start, args.n, args.paths, args.seed)
     result = simulate(config)
-    paths = float(config.paths)
     terminal = {}
-    for y in np.nonzero(result.terminal)[0]:
-        p = result.terminal[y] / paths
-        terminal[str(int(y))] = {
-            "point": float(p),
-            "stderr": math.sqrt(p * (1 - p) / paths),
-            "count": int(result.terminal[y]),
-        }
+    for y in np.nonzero(result.terminal)[0].tolist():
+        est = result.estimate(y)
+        terminal[str(y)] = {"point": est.point, "stderr": est.stderr, "count": est.count}
     reflected = int(config.paths - result.first_reflection_time[0])
     targets = {}
     for w in range(1, law.a + 1):
@@ -246,7 +238,7 @@ def _cmd_simulate(args) -> int:
         {
             "terminal": terminal,
             "first_reflection": {
-                "fraction_reflected": reflected / paths,
+                "fraction_reflected": reflected / config.paths,
                 "targets_given_reflected": targets,
             },
             "total_reflections": int(result.reflection_target.sum()),
@@ -261,8 +253,7 @@ def _exact_gap(target: float, coeffs: np.ndarray) -> float:
     return math.fsum([target, *(-coeffs).tolist()])
 
 
-def _cmd_validate(args) -> int:
-    law = load_law(args.law)
+def _cmd_validate(args, law) -> int:
     report = check_hypotheses(law)
     base, r0, tilted = _centered_base(law)
     checks = []
@@ -355,6 +346,8 @@ def _cmd_validate(args) -> int:
         objects = CenteredObjects(ladder, table, core)
         rep = constant_report(law, 0, args.y, oracle_n=args.constant_n, objects=objects)
         add("constant_vs_dp_rel_gap", rep["rel_gap"], 0.02 if not tilted else 0.05)
+    except InvalidInput:  # a bad --constant-n is an input error, not a failed check
+        raise
     except ReflectWalkError as exc2:
         checks.append(
             {"name": "constant_vs_dp", "value": str(exc2), "threshold": None, "pass": False}
@@ -447,12 +440,12 @@ def main(argv=None) -> int:
         sys.stderr.write(f"usage error: {exc}\n")
         return 1
     try:
-        law = load_law(args.law)  # early validation for uniform error reporting
+        law = load_law(args.law)  # parsed once, before any command runs
     except (OSError, ReflectWalkError) as exc:
         sys.stderr.write(f"law file error ({args.law}): {exc}\n")
         return 1
     try:
-        code = args.fn(args)
+        code = args.fn(args, law)
     except InvalidInput as exc:
         sys.stderr.write(f"input error: {exc}\n")
         return 1

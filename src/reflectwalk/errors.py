@@ -50,7 +50,8 @@ class NotInvertibleCentered(ReflectWalkError):
 
 
 class InvalidInput(ReflectWalkError, ValueError):
-    """A start state, target state or horizon given by the caller is out of range."""
+    """A start state, target state, horizon, depth or tolerance given by the
+    caller is out of range."""
 
 
 class InvalidSimConfig(InvalidInput):

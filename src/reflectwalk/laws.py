@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidLaw, NonPositiveArgument
+from .errors import ConvergenceFailure, InvalidInput, InvalidLaw, NonPositiveArgument
 
 MASS_SUM_TOL = 1e-12
 DRIFT_TOL = 1e-9
@@ -172,6 +172,8 @@ def check_hypotheses(law: LatticeLaw, drift_tol: float = DRIFT_TOL) -> Hypothesi
     Aperiodic: the support differences generate Z, i.e. gcd of the gaps
     between support points is 1.
     """
+    if not drift_tol >= 0:
+        raise InvalidInput(f"drift tolerance must be >= 0, got {drift_tol}")
     support = law.support()
     adapted = math.gcd(*(abs(k) for k in support)) == 1
     gaps = [k - support[0] for k in support[1:]]

@@ -22,7 +22,6 @@ from .errors import (
 )
 from .laws import LatticeLaw
 from .wiener_hopf import (
-    RICHARDSON_S,
     SLOPE_REL_TOL,
     FactorPair,
     LadderSystem,
@@ -38,6 +37,20 @@ EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 10_000
 
 
+def _renewal_sum(u_minus, u_plus, x: int, y: int) -> float:
+    """sum_k u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), correctly rounded."""
+    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
+
+
+def _kernel_row(u_minus, phi_minus, x: int) -> np.ndarray:
+    """sum_k u_minus[x - k] phi_minus[k + y - 1] over k = 0..min(x, a - y), for
+    y = 1..a (a = len(phi_minus)): the renewal sum against phi_minus read
+    backwards, at a - y. Fed a potential and a descent law at one s, or one of
+    them and the other's slope."""
+    a, backwards = phi_minus.shape[0], phi_minus[::-1]
+    return np.array([_renewal_sum(u_minus, backwards, x, a - y) for y in range(1, a + 1)])
+
+
 def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
     """Row x of the reflection kernel; entry y-1 is the hit mass at y in [1, a].
 
@@ -45,19 +58,11 @@ def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
     visits the level x - w, then a single ladder step carries it below 0,
     landing on -y (which reflects to y).
     """
-    a = ladder.a
     if x > ladder.depth:
         raise ValueError(
             f"kernel row at x={x} needs potential depth >= {x}, have {ladder.depth}"
         )
-    row = np.zeros(a)
-    for y in range(1, a + 1):
-        lo_w = max(0, x + y - a)
-        row[y - 1] = math.fsum(
-            ladder.U_minus[w] * ladder.mu_minus[x + y - w - 1]
-            for w in range(lo_w, x + 1)
-        )
-    return row
+    return _kernel_row(ladder.U_minus, ladder.mu_minus, x)
 
 
 def r_rows(ladder: LadderSystem, xs) -> dict[int, np.ndarray]:
@@ -69,20 +74,11 @@ def r_core(ladder: LadderSystem) -> np.ndarray:
     return np.array([r_row(ladder, x) for x in range(1, ladder.a + 1)])
 
 
-def r_row_at_s(
-    law: LatticeLaw, s: float, x: int, fp: FactorPair | None = None
-) -> np.ndarray:
+def r_row_at_s(law: LatticeLaw, s: float, x: int, fp: FactorPair | None = None) -> np.ndarray:
     """Row x of the s-weighted reflection kernel R_s, from the factorization at s."""
     if fp is None:
         fp = factorize_at(law, s)
-    a = law.a
-    u = u_minus_at(fp, x)
-    row = np.zeros(a)
-    for y in range(1, a + 1):
-        row[y - 1] = math.fsum(
-            u[x - w] * fp.phi_minus[w + y - 1] for w in range(0, min(x, a - y) + 1)
-        )
-    return row
+    return _kernel_row(u_minus_at(fp, x), fp.phi_minus, x)
 
 
 def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> tuple[np.ndarray, str]:
@@ -147,18 +143,8 @@ def r_tilde_row(ladder: LadderSystem, slope_table: SlopeTable, x: int) -> np.nda
     Two terms: the slope can sit in the renewal part (descent potential) or
     in the final overshoot step.
     """
-    a = ladder.a
-    row = np.zeros(a)
-    for y in range(1, a + 1):
-        renewal = math.fsum(
-            slope_table.slope_U_minus[x - k] * ladder.mu_minus[k + y - 1]
-            for k in range(0, min(x - 1, a - y) + 1)
-        )
-        overshoot = math.fsum(
-            ladder.U_minus[x - k] * slope_table.t_minus(k + y) for k in range(0, x + 1)
-        )
-        row[y - 1] = renewal + overshoot
-    return row
+    renewal = _kernel_row(slope_table.slope_U_minus, ladder.mu_minus, x)
+    return renewal + _kernel_row(ladder.U_minus, slope_table.slope_T_minus, x)
 
 
 def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict) -> float:
@@ -166,26 +152,19 @@ def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict
     Richardson slope of the s-weighted kernel (two independent routes).
 
     rows and tilde_rows map each x to its kernel row and its closed-form
-    slope row, as `r_rows` and `r_tilde_rows` build them. Each s-weighted
-    row is built once per (x, s); the Richardson estimate for each y reads
-    its entry from that row.
+    slope row, as `r_rows` and `r_tilde_rows` build them. The s-weighted
+    descent potential is prefix-stable, so it is built once per s, up to the
+    largest x, and serves every row of the s-weighted table.
     """
-    law = ladder.law
-    fps = {s: ladder.factor_pair(s) for s in RICHARDSON_S}
-    worst = 0.0
-    scale = max(max(np.max(np.abs(r)) for r in tilde_rows.values()), 1.0)
-    for x, closed in tilde_rows.items():
-        base = rows[x]
-        rows_at_s = {s: r_row_at_s(law, s, x, fp) for s, fp in fps.items()}
-        oracle = np.array(
-            [
-                richardson_slope(lambda s, y=y: rows_at_s[s][y - 1], base[y - 1])
-                for y in range(1, ladder.a + 1)
-            ]
-        )
-        err = np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6 * scale))
-        worst = max(worst, float(err))
-    return worst
+    def table_at(s: float) -> np.ndarray:
+        fp = ladder.factor_pair(s)
+        u = u_minus_at(fp, max(tilde_rows))
+        return np.array([_kernel_row(u, fp.phi_minus, x) for x in tilde_rows])
+
+    closed = np.array(list(tilde_rows.values()))
+    oracle = richardson_slope(table_at, np.array([rows[x] for x in tilde_rows]))
+    scale = max(float(np.max(np.abs(closed))), 1.0)
+    return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6 * scale)))
 
 
 def r_tilde_rows(ladder: LadderSystem, slope_table: SlopeTable, xs) -> dict[int, np.ndarray]:
@@ -262,11 +241,6 @@ def _require_states(**states: int):
             raise InvalidInput(f"{name} must be a state >= 0, got {value}")
 
 
-def _renewal_sum(u_minus, u_plus, x: int, y: int) -> float:
-    """sum_k u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), correctly rounded."""
-    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
-
-
 def e_value(ladder: LadderSystem, x: int, y: int) -> float:
     """E(x, y) = sum_k U^-(k - x) U^+(y - k): expected visits to y before the
     first reflection, started at x, split over the last descent-renewal level."""
@@ -274,15 +248,10 @@ def e_value(ladder: LadderSystem, x: int, y: int) -> float:
 
 
 def e_tilde_value(ladder: LadderSystem, slope_table: SlopeTable, x: int, y: int) -> float:
-    renewal = math.fsum(
-        slope_table.slope_U_minus[x - k] * ladder.U_plus[y - k]
-        for k in range(0, min(x - 1, y) + 1)
-    )
-    ascent = math.fsum(
-        ladder.U_minus[x - k] * slope_table.slope_U_plus[y - k]
-        for k in range(0, min(x, y) + 1)
-    )
-    return renewal + ascent
+    """sqrt(1-s) slope of E_s(x, y) at s = 1: the slope sits in the descent or
+    in the ascent potential."""
+    renewal = _renewal_sum(slope_table.slope_U_minus, ladder.U_plus, x, y)
+    return renewal + _renewal_sum(ladder.U_minus, slope_table.slope_U_plus, x, y)
 
 
 def excursion_slope_oracle_error(
@@ -296,18 +265,15 @@ def excursion_slope_oracle_error(
     """
     xs = [int(x) for x in xs]
     _require_states(y=y, x=min(xs, default=0))
-    potentials = {}
-    for s in RICHARDSON_S:
+
+    def column_at(s: float) -> np.ndarray:
         fp = ladder.factor_pair(s)
-        potentials[s] = (u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y))
-    worst = 0.0
-    for x in xs:
-        closed = e_tilde_value(ladder, slope_table, x, y)
-        oracle = richardson_slope(
-            lambda s, x=x: _renewal_sum(*potentials[s], x, y), e_value(ladder, x, y)
-        )
-        worst = max(worst, abs(closed - oracle) / max(abs(closed), 1e-6))
-    return worst
+        u_minus, u_plus = u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y)
+        return np.array([_renewal_sum(u_minus, u_plus, x, y) for x in xs])
+
+    closed = np.array([e_tilde_value(ladder, slope_table, x, y) for x in xs])
+    oracle = richardson_slope(column_at, np.array([e_value(ladder, x, y) for x in xs]))
+    return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6), initial=0.0))
 
 
 def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, NotCentered, RootClusterUnresolved, SlopeMismatch
+from .errors import ConvergenceFailure, InvalidInput, NotCentered, RootClusterUnresolved, SlopeMismatch
 from .laws import DRIFT_TOL, LatticeLaw, mgf, moments
 
 CIRCLE_TOL = 1e-8  # roots this close to |z| = 1 cannot be classified
@@ -227,6 +227,8 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
     """Exact ladder laws from the s = 1 factorization, plus renewal potentials."""
     if depth is None:
         depth = default_depth(law)
+    if depth < 0:
+        raise InvalidInput(f"potential depth must be >= 0, got {depth}")
     fp = factorize_at(law, 1.0)
     mu_minus, mu_plus = fp.phi_minus, fp.phi_plus
     U_minus, U_plus = u_minus_at(fp, depth), u_plus_at(fp, depth)
@@ -250,25 +252,24 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
     )
 
 
+def _potential(taps: np.ndarray, depth: int, stay: float = 1.0) -> np.ndarray:
+    """Renewal potential u, k = 0..depth: u[0] = 1 / stay and
+    u[k] = sum_j taps[j-1] u[k-j] / stay over j = 1..min(k, len(taps))."""
+    u = np.zeros(depth + 1)
+    u[0] = 1.0 / stay
+    for k in range(1, depth + 1):
+        u[k] = sum(taps[j - 1] * u[k - j] for j in range(1, min(k, taps.shape[0]) + 1)) / stay
+    return u
+
+
 def u_minus_at(fp: FactorPair, depth: int) -> np.ndarray:
     """Values of the s-weighted descent potential at -k, k = 0..depth."""
-    a = fp.phi_minus.shape[0]
-    u = np.zeros(depth + 1)
-    u[0] = 1.0
-    for k in range(1, depth + 1):
-        u[k] = sum(fp.phi_minus[w - 1] * u[k - w] for w in range(1, min(k, a) + 1))
-    return u
+    return _potential(fp.phi_minus, depth)
 
 
 def u_plus_at(fp: FactorPair, depth: int) -> np.ndarray:
     """Values of the s-weighted ascent potential at m = 0..depth."""
-    b = fp.phi_plus.shape[0] - 1
-    stay = 1.0 - fp.phi_plus[0]
-    u = np.zeros(depth + 1)
-    u[0] = 1.0 / stay
-    for m in range(1, depth + 1):
-        u[m] = sum(fp.phi_plus[j] * u[m - j] for j in range(1, min(m, b) + 1)) / stay
-    return u
+    return _potential(fp.phi_plus[1:], depth, stay=1.0 - fp.phi_plus[0])
 
 
 def richardson_slope(fn, value_at_1: float) -> float:
@@ -276,7 +277,9 @@ def richardson_slope(fn, value_at_1: float) -> float:
 
     fn is evaluated at s = 1 - eps for the two RICHARDSON_EPS; the secant
     slopes (fn(1-eps) - fn(1)) / sqrt(eps) are extrapolated to eps = 0,
-    cancelling the next term of the expansion.
+    cancelling the next term of the expansion. fn(s) and value_at_1 may be
+    numpy arrays of one shape: the estimate is then made entry by entry, each
+    entry with the same IEEE operations as a scalar call.
     """
     s1_val, s2_val = RICHARDSON_S
     # use the representable offsets, not the nominal eps: 1 - (1 - e) != e
@@ -302,11 +305,6 @@ class SlopeTable:
     slope_U_plus: np.ndarray
     method: str
     max_rel_err: float
-
-    def t_minus(self, w: int) -> float:
-        if 1 <= w <= self.slope_T_minus.shape[0]:
-            return float(self.slope_T_minus[w - 1])
-        return 0.0
 
 
 def slopes(law: LatticeLaw, ladder: LadderSystem) -> SlopeTable:
@@ -338,22 +336,20 @@ def slopes(law: LatticeLaw, ladder: LadderSystem) -> SlopeTable:
     slope_U_minus[1:] = -coef * np.cumsum(ladder.U_minus[:-1])
     slope_U_plus = -coef * np.cumsum(ladder.U_plus)
 
+    # the oracle checks every T entry, and U^-, U^+ at 0..check_depth
     check_depth = min(depth, 2 * (a + b) + 2)
-    at_s = {}  # s -> the four transforms at s, in the order of `checks`
-    for s in RICHARDSON_S:
+
+    def at_s(s: float) -> np.ndarray:
         fp = ladder.factor_pair(s)
-        at_s[s] = (fp.phi_minus, fp.phi_plus, u_minus_at(fp, check_depth), u_plus_at(fp, check_depth))
-    checks = (
-        [(0, slope_T_minus, ladder.mu_minus, w - 1) for w in range(1, a + 1)]
-        + [(1, slope_T_plus, ladder.mu_plus, j) for j in range(0, b + 1)]
-        + [(2, slope_U_minus, ladder.U_minus, k) for k in range(1, check_depth + 1)]
-        + [(3, slope_U_plus, ladder.U_plus, m) for m in range(0, check_depth + 1)]
-    )
-    max_rel_err = 0.0
-    for kind, closed, at_1, i in checks:
-        oracle = richardson_slope(lambda s: at_s[s][kind][i], at_1[i])
-        # floor keeps structurally-zero entries from amplifying fp noise
-        max_rel_err = max(max_rel_err, abs(closed[i] - oracle) / max(abs(closed[i]), 1e-6))
+        potentials = u_minus_at(fp, check_depth), u_plus_at(fp, check_depth)
+        return np.concatenate((fp.phi_minus, fp.phi_plus, *potentials))
+
+    head = slice(0, check_depth + 1)
+    closed = np.concatenate((slope_T_minus, slope_T_plus, slope_U_minus[head], slope_U_plus[head]))
+    at_1 = np.concatenate((ladder.mu_minus, ladder.mu_plus, ladder.U_minus[head], ladder.U_plus[head]))
+    oracle = richardson_slope(at_s, at_1)
+    # floor keeps structurally-zero entries from amplifying fp noise
+    max_rel_err = float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6)))
     if max_rel_err > SLOPE_REL_TOL:
         raise SlopeMismatch(
             f"closed-form slopes deviate from the Richardson oracle by "

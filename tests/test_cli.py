@@ -215,9 +215,18 @@ class TestExitCodes:
             (["ladder", "--law", LAW_A, "--oracle", "0"], "horizon"),
             (["validate", "--law", LAW_A, "--y", "-1", "--oracle-n", "400"], "y"),
             (["validate", "--law", LAW_A, "--oracle-n", "0"], "horizon"),
+            (["constants", "--law", LAW_A, "--y", "0", "--oracle-n", "0"], "horizon"),
+            (["constants", "--law", LAW_A, "--y", "0", "--oracle-n", "1"], "horizon"),
+            (["constants", "--law", LAW_B, "--y", "0", "--oracle-n", "1"], "horizon"),
+            (["validate", "--law", LAW_A, "--oracle-n", "400", "--constant-n", "1"], "horizon"),
+            (["ladder", "--law", LAW_A, "--depth", "-3"], "depth"),
+            (["ladder", "--law", LAW_A, "--emit-depth", "-5"], "emit depth"),
+            (["analyze", "--law", LAW_A, "--drift-tol", "-1"], "drift tolerance"),
         ],
         ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle",
-             "validate_y", "validate_oracle_n"],
+             "validate_y", "validate_oracle_n", "constants_oracle_n_0", "constants_oracle_n_1",
+             "constants_drifted_oracle_n_1", "validate_constant_n_1", "ladder_depth",
+             "ladder_emit_depth", "analyze_drift_tol"],
     )
     def test_bad_state_or_horizon_is_one_line(self, argv, field, capsys):
         code, out, err = run(argv, capsys)

@@ -346,8 +346,8 @@ def reference_excursion_error(ladder, table, y, xs):
 
 
 class TestSharedOracleWork:
-    """The slope oracles share one factorization per (ladder, s) and one
-    s-weighted kernel row per (x, s); their results keep every bit."""
+    """The slope oracles share one factorization per (ladder, s) and build
+    each s-weighted potential once per s; their results keep every bit."""
 
     @pytest.fixture(scope="class")
     def systems(self, law_p5, law_asym):
@@ -391,10 +391,16 @@ class TestSharedOracleWork:
             builds.clear()
             got[y] = excursion_slope_oracle_error(ladder, table, y, xs)
             assert sorted(builds) == [("u_minus_at", max(xs))] * 2 + [("u_plus_at", y)] * 2
+        # the kernel oracle builds one descent potential per s, to the largest x
+        rows, tilde_rows = r_rows(ladder, xs), r_tilde_rows(ladder, table, xs)
+        builds.clear()
+        kernel_err = kernel_slope_oracle_error(ladder, rows, tilde_rows)
+        assert builds == [("u_minus_at", max(xs))] * 2
         monkeypatch.undo()
-        # the reference builds both potentials afresh for each x, to depths x and y
+        # the references build the potentials afresh for each x, to depths x and y
         for y, err in got.items():
             assert err == reference_excursion_error(ladder, table, y, xs)
+        assert kernel_err == reference_kernel_error(ladder, table, xs)
 
     def test_excursion_oracle_rejects_a_negative_start(self, systems):
         ladder, table = systems["p5"]

@@ -121,12 +121,6 @@ class TestSlopes:
         assert table.method == "closed-form+richardson"
         assert table.max_rel_err < 1e-3
 
-    def test_out_of_support_slopes_are_zero(self, law_a):
-        ladder = ladder_laws(law_a)
-        table = slopes(law_a, ladder)
-        assert table.t_minus(2) == 0.0  # no descent landing below -a
-        assert table.t_minus(0) == 0.0
-
     def test_oracle_passes_on_wider_laws(self, law_p5, law_asym):
         for law in (law_p5, law_asym):
             ladder = ladder_laws(law)
