@@ -14,6 +14,7 @@ import json
 import math
 import sys
 import time
+from functools import partial
 
 import numpy as np
 
@@ -62,11 +63,191 @@ def _emit_json(payload):
 
 
 def _emit_csv(header: str, blocks):
-    """Write `header`, then `template % values` for each (template, values) block;
-    %.12g prints a float as f"{x:.12g}" does, and one block may hold many rows."""
+    """Write `header`, then each block, a list of columns of one length (at
+    least 1), as CSV rows with one `write` per block.
+
+    Each int prints as "%d" and each float as "%.12g" would print it, byte for
+    byte: `_put_floats` says how the digits are found, and when Python's own
+    formatting gives them instead.
+    """
     sys.stdout.write(header + "\n")
-    for template, values in blocks:
-        sys.stdout.write(template % values)
+    for columns in blocks:
+        sys.stdout.write(_csv_text([np.asarray(c) for c in columns]))
+
+
+# Entries per `exact` block. A larger block spends less per entry on numpy
+# calls, but its arrays (about 150 bytes an entry) must stay far below the
+# stored table that streaming the DP avoids.
+_BLOCK = 1024
+
+
+def _words(raw: np.ndarray) -> np.ndarray:
+    """The little-endian words whose bytes are raw[..., :], in a flat table."""
+    return raw.view(f"<u{raw.shape[-1]}").ravel()
+
+
+# Lookup tables of text pieces, built at import. A 0 byte pads a piece and is
+# dropped from the text.
+_G = np.arange(1000)
+# the ASCII digits (hundreds, tens, ones) of each g in 0..999
+_DIGITS = (np.indices((10, 10, 10)).reshape(3, 1000).T + ord("0")).astype(np.uint8)
+# a 3-digit group g of mantissa digits: [g] without trailing zeros, [1000 + g] whole
+_NOT_TRAILING = np.logical_or.accumulate(_DIGITS[:, ::-1] != ord("0"), axis=1)[:, ::-1]
+_MANTISSA = np.stack([_DIGITS * _NOT_TRAILING, _DIGITS])
+_raw = np.zeros((2, 1000, 4), np.uint8)
+_raw[..., :3] = _MANTISSA
+_GROUP = _words(_raw)
+# the first group (g >= 100) as "d.dd", at [g] and [1000 + g] as in _GROUP, its
+# point dropped with the digits after it; at [2000 k + ...], 1 <= k <= 4,
+# after "0." and k - 1 zeros, with no point
+_raw = np.zeros((5, 2, 1000, 8), np.uint8)
+_raw[0, ..., 0], _raw[0, ..., 2:4] = _MANTISSA[..., 0], _MANTISSA[..., 1:]
+_raw[0, ..., 1] = ord(".") * (_MANTISSA[..., 1] != 0)
+for _k in range(1, 5):
+    _raw[_k, ..., : _k + 1] = np.frombuffer(b"0." + b"0" * (_k - 1), np.uint8)
+    _raw[_k, ..., _k + 1 : _k + 4] = _MANTISSA
+_LEAD_GROUP = _words(_raw)
+# a 3-digit group g of an int: [g] the leading group, no leading zeros;
+# [1000 + g] the same after "-"; [2000 + g] whole; [3000] blank
+_raw = np.zeros((4, 1000, 4), np.uint8)
+_raw[:3, :, 1:] = _DIGITS
+_raw[:2, :, 1] *= _G >= 100
+_raw[:2, :, 2] *= _G >= 10
+_raw[1, :, 0] = ord("-")
+_INT_GROUP = _words(_raw)
+# for a decimal exponent X = -j, 0 <= j <= 308: the exponent %g prints below
+# 1e-4, "e-XX" or "e-XXX"; the offset of the "0." forms into _LEAD_GROUP from
+# 1e-4 to 1; and 10^j, correctly rounded (as Python converts an int)
+_J = np.arange(309)
+_raw = np.zeros((309, 8), np.uint8)
+_raw[:, :2] = np.frombuffer(b"e-", np.uint8)
+_raw[:, 2:5] = _DIGITS[_J]
+_raw[:, 2] *= _J >= 100
+_raw[:5] = 0
+_EXP = _words(_raw)
+_LEAD_AT = np.where(_J > 4, 0, 2000 * _J)
+_P10 = np.cumprod([1] + [10] * 308, dtype=object).astype(np.float64)
+del _raw, _k
+_NORMAL_MIN = sys.float_info.min  # the smallest normal float
+# m is off (1e11, 1e12 - 0.5) when |m - _MID| >= _HALF; both are exact, and a
+# rounded m - _MID keeps the side of the bound an exact one is on
+_MID, _HALF = (1e11 + 999999999999.5) / 2, (999999999999.5 - 1e11) / 2
+_FLOAT_WIDTH = 25  # the cell of `_put_floats`, with its separator
+
+
+def _put(buf, at: int, line: int, table: np.ndarray, index: np.ndarray):
+    """Write table[index[r]] at byte at + r * line of buf, for each row r.
+
+    An index off the table (a guarded float's, whose text is replaced) clips."""
+    out = np.ndarray(index.shape, table.dtype, buf, at, (line,))
+    table.take(index, mode="clip", out=out)
+
+
+def _csv_text(columns) -> str:
+    """The CSV rows of one block. Each cell has fixed byte offsets in a line
+    of `line` bytes; the pad bytes (0) are dropped at the end."""
+    cells = []
+    for col in columns:
+        if col.dtype.kind == "f":
+            cells.append((partial(_put_floats, col), _FLOAT_WIDTH))
+        else:
+            cells.append(_int_cell(col))
+    n, line = columns[0].size, sum(width for _, width in cells)
+    text = bytearray(n * line)
+    buf = np.frombuffer(text, np.uint8)
+    at = 0
+    for put, width in cells:
+        put(buf, at, line)
+        buf[at + width - 1 :: line] = 44  # ","
+        at += width
+    buf[line - 1 :: line] = 10  # "\n"
+    return text.translate(None, b"\0").decode("ascii")
+
+
+def _int_cell(col: np.ndarray):
+    """The writer of an int column and its cell width, separator included:
+    3-digit groups from numpy, or Python's text for ints beyond 64 bits."""
+    if col.dtype.kind in "iu":
+        lo, hi = int(col.min()), int(col.max())
+        if -(2**63) < lo and hi < 2**63:
+            groups = (len(str(max(-lo, hi))) + 2) // 3
+            ints = col.astype(np.int64, copy=False)
+            return partial(_put_ints, ints, groups, lo < 0), 4 * groups + 1
+    text = np.array([b"%d" % x for x in col.tolist()], "S")
+    return partial(_put_text, text), text.itemsize + 1
+
+
+def _put_text(text: np.ndarray, buf, at: int, line: int):
+    """Write text[r], NUL-padded bytes, at byte at + r * line of buf."""
+    rows = text.view(np.uint8).reshape(text.size, text.itemsize)
+    np.ndarray(rows.shape, np.uint8, buf, at, (line, 1))[...] = rows
+
+
+def _put_ints(v: np.ndarray, groups: int, negative: bool, buf, at: int, line: int):
+    """Write "%d" % x for each x of v as `groups` 3-digit groups, 4 bytes each."""
+    mag = np.abs(v) if negative else v
+    sign = 1000 * (v < 0) if negative else 0
+    for i in range(groups):
+        scale = 1000 ** (groups - 1 - i)
+        # blank above the leading group (the last group leads for 0 too), whole below it
+        kind = sign if scale == 1 else np.where(mag >= scale, sign, 3000)
+        if i:
+            kind = np.where(mag >= 1000 * scale, 2000, kind)
+        g = mag // scale % 1000 if i else mag // scale
+        _put(buf, at + 4 * i, line, _INT_GROUP, g + kind)
+
+
+def _put_floats(v: np.ndarray, buf, at: int, line: int):
+    """Write "%.12g" % x for each x of v, in the 24 bytes from `at`.
+
+    The fast path takes a normal x in (0, 9.5), clear of the rounding up to
+    10: its decimal exponent is X = -j, j = -floor(log10 x) in [0, 308], and
+    its 12 correctly rounded digits are rint(x 10^(11+j)). The path computes
+    m = x 1e11 10^j with three roundings (10^j is correctly rounded), so m is
+    within 3.5e-4 of x 10^(11+j), and takes mi = rint(m) unless
+      - m lies within 1e-3 of a tie (|frac(m) - 0.5| <= 1e-3), or
+      - m lies off (1e11, 1e12 - 0.5): log10 put j off by one, or the digits
+        would round up to 1e12.
+    Then mi holds the correctly rounded digits. Those guarded entries, and
+    every x off the fast path (zeros, subnormals, negative, large or
+    non-finite values), take their text from Python's "%.12g" % x.
+
+    The bytes hold "0." and up to 3 zeros, or nothing; d0, ".", d1 .. d11 in
+    3-digit groups, trailing zeros (and a bare point) dropped; "e-XX",
+    "e-XXX" or nothing.
+    """
+    j, mi, guard = _mantissas(v)
+    hi, lo = _divmod(mi, 10**6)
+    g0, g1 = _divmod(hi, 1000)
+    g2, g3 = _divmod(lo, 1000)
+    # a group keeps its trailing zeros while a later group is nonzero
+    _put(buf, at, line, _LEAD_GROUP, g0 + 1000 * ((g1 | lo) > 0) + _LEAD_AT.take(j))
+    _put(buf, at + 8, line, _GROUP, g1 + 1000 * (lo > 0))
+    _put(buf, at + 11, line, _GROUP, g2 + 1000 * (g3 > 0))
+    _put(buf, at + 14, line, _GROUP, g3)
+    _put(buf, at + 17, line, _EXP, j)
+    if guard.size:
+        text = np.array([b"%.12g" % x for x in v[guard].tolist()], "S24")
+        cells = np.ndarray((v.size, 24), np.uint8, buf, at, (line, 1))
+        cells[guard] = text.view(np.uint8).reshape(guard.size, 24)
+
+
+def _divmod(v: np.ndarray, d: int):
+    """np.divmod(v, d) for ints v >= 0, in the ops numpy does fastest."""
+    q = v // d
+    return q, v - q * d
+
+
+def _mantissas(v: np.ndarray):
+    """(j, mi, guard) of `_put_floats`, guard as row indices."""
+    # an x off the fast path stands in as 1.0, whose m = 1e11 is guarded
+    m = np.where((v >= _NORMAL_MIN) & (v < 9.5), v, 1.0)
+    j = -np.floor(np.log10(m)).astype(np.intp)
+    m *= 1e11
+    m *= _P10.take(j)
+    mi = np.rint(m)
+    guard = np.flatnonzero((np.abs(m - mi) >= 0.499) | (np.abs(m - _MID) >= _HALF))
+    return j, mi.astype(np.int64), guard
 
 
 def _law_digest(law) -> str:
@@ -112,14 +293,12 @@ def _cmd_ladder(args, law) -> int:
         n = args.oracle
         table = descent_joint_table(base, n)
         mu = ladder_laws(base).mu_minus
-        rows = []
         checkpoints = sorted({min(2**k, n) for k in range(0, 40) if 2**k <= n} | {n})
-        partials = np.cumsum(table, axis=1)
-        for cp in checkpoints:
-            for w in range(1, base.a + 1):
-                p = float(partials[w - 1, cp])
-                rows.append((cp, w, p, float(mu[w - 1]), float(mu[w - 1]) - p))
-        _emit_csv("n,w,partial_sum,target,gap", (("%d,%d,%.12g,%.12g,%.12g\n", r) for r in rows))
+        partials = np.cumsum(table, axis=1)[:, checkpoints].T.ravel()  # checkpoint-major
+        targets = np.tile(mu, len(checkpoints))
+        ws = np.tile(np.arange(1, base.a + 1), len(checkpoints))
+        columns = [np.repeat(checkpoints, base.a), ws, partials, targets, targets - partials]
+        _emit_csv("n,w,partial_sum,target,gap", [columns])
         return 0
 
     if args.emit_depth < 0:
@@ -152,17 +331,26 @@ def _cmd_ladder(args, law) -> int:
 
 
 def _cmd_exact(args, law) -> int:
-    rows = n_step_rows(law, args.start, args.n)
-    _emit_csv("n,y,probability", map(_exact_block, range(args.n + 1), rows))
+    _emit_csv("n,y,probability", _exact_blocks(n_step_rows(law, args.start, args.n)))
     return 0
 
 
-def _exact_block(n: int, row: np.ndarray):
-    """DP row n as one CSV block: its nonzero entries (y, P), y ascending."""
-    ys = np.flatnonzero(row)
-    cells = [0] * (2 * ys.size)
-    cells[0::2], cells[1::2] = ys.tolist(), row[ys].tolist()
-    return f"{n},%d,%.12g\n" * ys.size, tuple(cells)
+def _exact_blocks(rows):
+    """Columns (n, y, P) of the nonzero entries of DP rows n = 0, 1, ..., y
+    ascending, in blocks of _BLOCK entries (the last one may be shorter)."""
+    pending, size = [], 0
+    for n, row in enumerate(rows):
+        ys = np.flatnonzero(row)
+        pending.append((np.full(ys.size, n), ys, row[ys]))
+        size += ys.size
+        if size >= _BLOCK:
+            columns = [np.concatenate(c) for c in zip(*pending)]
+            cut = size - size % _BLOCK
+            pending, size = [tuple(c[cut:].copy() for c in columns)], size - cut
+            for start in range(0, cut, _BLOCK):
+                yield [c[start : start + _BLOCK] for c in columns]
+    if size:
+        yield [np.concatenate(c) for c in zip(*pending)]
 
 
 def _cmd_constants(args, law) -> int:
@@ -203,16 +391,22 @@ def _cmd_constants(args, law) -> int:
 
 
 def _cmd_compare(args, law) -> int:
+    grid = [n for n in (2**k for k in range(4, 40)) if n <= args.n_max]
+    if not grid:
+        raise InvalidInput(f"horizon n_max must be >= 16, the first grid point, got {args.n_max}")
     asym = asymptotic_law(law, args.x, args.y)
     column = n_step_series(law, args.x, [args.y], args.n_max)[args.y]
-    grid = [n for n in (2**k for k in range(4, 40)) if n <= args.n_max]
-    config = SimConfig(law, args.x, max(grid, default=0), args.paths, args.seed)
+    config = SimConfig(law, args.x, grid[-1], args.paths, args.seed)
     result = simulate(config, checkpoints=grid)
-    rows = []
-    for n in grid:
-        est = result.estimate(args.y, n)
-        rows.append((n, column[n], predict(asym, n), est.point, est.stderr))
-    _emit_csv("n,exact,predicted,mc,mc_stderr", (("%d,%.12g,%.12g,%.12g,%.12g\n", r) for r in rows))
+    estimates = [result.estimate(args.y, n) for n in grid]
+    columns = [
+        grid,
+        column[grid],
+        [predict(asym, n) for n in grid],
+        [est.point for est in estimates],
+        [est.stderr for est in estimates],
+    ]
+    _emit_csv("n,exact,predicted,mc,mc_stderr", [columns])
     return 0
 
 

@@ -265,23 +265,33 @@ def excursion_slope_oracle_error(
     """
     xs = [int(x) for x in xs]
     _require_states(y=y, x=min(xs, default=0))
+    values = [e_value(ladder, x, y) for x in xs]
+    closed = [e_tilde_value(ladder, slope_table, x, y) for x in xs]
+    return _excursion_slope_gap(ladder, y, xs, values, closed)
+
+
+def _excursion_slope_gap(ladder: LadderSystem, y: int, xs: list, values: list, closed: list) -> float:
+    """The error of `excursion_slope_oracle_error`, given E(x, y) and its
+    closed-form slope for each x of xs."""
 
     def column_at(s: float) -> np.ndarray:
         fp = ladder.factor_pair(s)
         u_minus, u_plus = u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y)
         return np.array([_renewal_sum(u_minus, u_plus, x, y) for x in xs])
 
-    closed = np.array([e_tilde_value(ladder, slope_table, x, y) for x in xs])
-    oracle = richardson_slope(column_at, np.array([e_value(ladder, x, y) for x in xs]))
+    closed = np.array(closed)
+    oracle = richardson_slope(column_at, np.array(values))
     return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6), initial=0.0))
 
 
 def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:
     """Excursion values and slopes for one arrival state, Richardson-checked."""
-    _require_states(y=y)
-    values = {int(x): e_value(ladder, int(x), y) for x in xs}
-    tilde = {int(x): e_tilde_value(ladder, slope_table, int(x), y) for x in xs}
-    err = excursion_slope_oracle_error(ladder, slope_table, y, list(values))
+    xs = list(dict.fromkeys(int(x) for x in xs))
+    _require_states(y=y, x=min(xs, default=0))
+    values = {x: e_value(ladder, x, y) for x in xs}
+    tilde = {x: e_tilde_value(ladder, slope_table, x, y) for x in xs}
+    # the oracle reads the values and slopes built here
+    err = _excursion_slope_gap(ladder, y, xs, list(values.values()), list(tilde.values()))
     if err > SLOPE_REL_TOL:
         raise SlopeMismatch(
             f"excursion slopes at y={y} deviate from the Richardson "

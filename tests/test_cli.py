@@ -26,7 +26,7 @@ from reflectwalk import (
     stay_series,
     wiener_hopf,
 )
-from reflectwalk.cli import _centered_base, _emit_csv, _exact_block, main
+from reflectwalk.cli import _BLOCK, _HALF, _MID, _P10, _centered_base, _emit_csv, _exact_blocks, main
 from reflectwalk.reflection import e_value
 from conftest import golden_mismatch
 
@@ -211,6 +211,7 @@ class TestExitCodes:
             (["exact", "--law", LAW_A, "--start", "0", "--n", "-1"], "horizon"),
             (["compare", "--law", LAW_A, "--x", "-1", "--y", "0", "--n-max", "32"], "x"),
             (["compare", "--law", LAW_A, "--y", "-1", "--n-max", "32"], "y"),
+            (["compare", "--law", LAW_A, "--y", "0", "--n-max", "8"], "horizon"),
             (["constants", "--law", LAW_B, "--y", "-2", "--no-oracle"], "y"),
             (["ladder", "--law", LAW_A, "--oracle", "0"], "horizon"),
             (["validate", "--law", LAW_A, "--y", "-1", "--oracle-n", "400"], "y"),
@@ -223,8 +224,8 @@ class TestExitCodes:
             (["ladder", "--law", LAW_A, "--emit-depth", "-5"], "emit depth"),
             (["analyze", "--law", LAW_A, "--drift-tol", "-1"], "drift tolerance"),
         ],
-        ids=["exact_start", "exact_n", "compare_x", "compare_y", "constants_y", "ladder_oracle",
-             "validate_y", "validate_oracle_n", "constants_oracle_n_0", "constants_oracle_n_1",
+        ids=["exact_start", "exact_n", "compare_x", "compare_y", "compare_n_max", "constants_y",
+             "ladder_oracle", "validate_y", "validate_oracle_n", "constants_oracle_n_0", "constants_oracle_n_1",
              "constants_drifted_oracle_n_1", "validate_constant_n_1", "ladder_depth",
              "ladder_emit_depth", "analyze_drift_tol"],
     )
@@ -352,8 +353,16 @@ def write_csv(blocks) -> str:
 def reference_exact(table) -> str:
     lines = ["n,y,probability\n"]
     for n, row in enumerate(table):
-        lines += [reference_line((n, y, float(row[y]))) for y in range(row.shape[0]) if row[y] != 0.0]
+        lines += ["%d,%d,%.12g\n" % (n, y, p) for y, p in enumerate(row.tolist()) if p != 0.0]
     return "".join(lines)
+
+
+def int_column(values) -> np.ndarray:
+    """Python ints as the commands hand them over: int64, or objects past it."""
+    try:
+        return np.array(values, dtype=np.int64)
+    except OverflowError:
+        return np.array(values, dtype=object)
 
 
 # %g switches notation at exponents -5 and 12; 12 digits round some values across
@@ -362,40 +371,92 @@ SWITCH_POINTS = [
     1e12, 999999999999.5, 999999999999.0, 1e11, 5e-324, 2.2250738585072014e-308,
 ]
 SWITCH_POINTS += [math.nextafter(v, d) for v in (1e-5, 1e-4, 1e12) for d in (0.0, math.inf)]
-CELLS = st.one_of(
-    st.integers(),
-    st.floats(allow_nan=False, allow_infinity=False),
-    st.sampled_from(SWITCH_POINTS),
+
+
+def near_tie(d: int, x: int, step: int) -> float:
+    """The float nearest (d + 0.5) 10^(x - 11), a tie of 12-digit rounding for
+    a 12-digit d, or (step -1 or 1) its neighbour below or above."""
+    tie = float(f"{2 * d + 1}e{x - 12}")
+    return tie if step == 0 else math.nextafter(tie, step * math.inf)
+
+
+NEAR_TIES = st.builds(
+    near_tie, st.integers(10**11, 10**12 - 1), st.integers(-308, 11), st.sampled_from([-1, 0, 1])
 )
+FLOATS = st.one_of(st.floats(), st.sampled_from(SWITCH_POINTS), NEAR_TIES, NEAR_TIES.map(lambda v: -v))
+CELL_KINDS = {"int": st.integers(), "float": FLOATS}
+
+
+@st.composite
+def csv_blocks(draw):
+    """A block of columns, each of ints or of floats, and its rows."""
+    kinds = draw(st.lists(st.sampled_from(sorted(CELL_KINDS)), min_size=1, max_size=4))
+    rows = draw(st.lists(st.tuples(*(CELL_KINDS[k] for k in kinds)), min_size=1, max_size=4))
+    columns = [
+        int_column(col) if kind == "int" else np.array(col, dtype=np.float64)
+        for kind, col in zip(kinds, zip(*rows))
+    ]
+    return columns, rows
 
 
 class TestCsvWriter:
     """`_emit_csv` writes the bytes the per-value formatter wrote."""
 
-    @given(st.lists(CELLS, min_size=1, max_size=8))
-    def test_row_template_matches_per_value_line(self, row):
-        template = ",".join("%.12g" if isinstance(v, float) else "%d" for v in row) + "\n"
-        assert write_csv([(template, tuple(row))]) == "h\n" + reference_line(row)
+    @given(csv_blocks())
+    @example(([np.array([7]), np.array([5e-324]), np.array([-0.0])], [(7, 5e-324, -0.0)]))
+    def test_columns_match_per_value_lines(self, block):
+        columns, rows = block
+        assert write_csv([columns]) == "h\n" + "".join(map(reference_line, rows))
 
     @given(
-        st.integers(0, 10**6),
         st.lists(
-            st.one_of(
-                st.just(0.0),
-                st.floats(0.0, 1.0, allow_subnormal=True),
-                st.sampled_from(SWITCH_POINTS),
+            st.lists(
+                st.one_of(
+                    st.just(0.0),
+                    st.floats(0.0, 1.0, allow_subnormal=True),
+                    st.sampled_from(SWITCH_POINTS),
+                    NEAR_TIES.filter(lambda v: 0.0 <= v <= 1.0),
+                ),
+                max_size=15,
             ),
             min_size=1,
-            max_size=40,
-        ),
-    )
-    @example(7, [0.0, 5e-324, 1e-5, 0.0, 1.0])
-    def test_exact_block_matches_per_value_lines(self, n, values):
-        row = np.array(values)
-        expected = "".join(
-            reference_line((n, y, v)) for y, v in enumerate(row.tolist()) if v != 0.0
+            max_size=3,
         )
-        assert write_csv([_exact_block(n, row)]) == "h\n" + expected
+    )
+    @example([[0.0, 5e-324, 1e-5, 0.0, 1.0]])
+    def test_exact_blocks_match_per_value_lines(self, values):
+        rows = [np.array(row, dtype=np.float64) for row in values]
+        expected = "".join(
+            reference_line((n, y, v))
+            for n, row in enumerate(values)
+            for y, v in enumerate(row)
+            if v != 0.0
+        )
+        assert write_csv(_exact_blocks(rows)) == "h\n" + expected
+
+    def test_near_ties_match_per_value_lines(self):
+        # about 4% of these round the wrong way without the tie guard
+        rng = np.random.default_rng(14)
+        ds, xs = rng.integers(10**11, 10**12, 10_000), rng.integers(-308, 12, 10_000)
+        values = [near_tie(d, x, step) for d, x in zip(ds.tolist(), xs.tolist()) for step in (-1, 0, 1)]
+        expected = "".join(reference_line((v,)) for v in values)
+        assert write_csv([[np.array(values)]]) == "h\n" + expected
+
+    def test_guard_constants_are_exact(self):
+        # the error bound of the fast path counts 10^j as one rounding
+        assert all(p == float(Fraction(10) ** j) for j, p in enumerate(_P10.tolist()))
+        assert (_MID - _HALF, _MID + _HALF) == (1e11, 999999999999.5)
+
+    def test_exact_blocks_hold_block_size_entries(self):
+        widths = [0, 3 * _BLOCK // 2, 3, _BLOCK - 5, 2 * _BLOCK, 1]
+        rows = [np.arange(1.0, w + 1.0) for w in widths]
+        blocks = list(_exact_blocks(rows))
+        assert [b[0].size for b in blocks[:-1]] == [_BLOCK] * (len(blocks) - 1)
+        assert 0 < blocks[-1][0].size <= _BLOCK
+        ns, ys, ps = (np.concatenate(c) for c in zip(*blocks))
+        assert ns.tolist() == [n for n, w in enumerate(widths) for _ in range(w)]
+        assert ys.tolist() == [y for w in widths for y in range(w)]
+        assert ps.tolist() == [y + 1.0 for w in widths for y in range(w)]
 
     def test_exact_on_random_law_matches_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(8)
@@ -405,6 +466,13 @@ class TestCsvWriter:
         code, out, _ = run(["exact", "--law", str(path), "--start", "3", "--n", "30"], capsys)
         assert code == 0
         assert out == reference_exact(n_step_table(load_law(str(path)), 3, 30))
+
+    def test_exact_at_a_long_horizon_matches_reference(self, capsys):
+        # values reach 1e-308, and 670 of the 318,816 entries are guarded:
+        # their text comes from Python
+        code, out, _ = run(["exact", "--law", LAW_A, "--start", "1", "--n", "800"], capsys)
+        assert code == 0
+        assert out == reference_exact(n_step_table(load_law(LAW_A), 1, 800))
 
 
 def test_exact_memory_stays_near_the_stored_table(tmp_path, monkeypatch):

@@ -402,6 +402,25 @@ class TestSharedOracleWork:
             assert err == reference_excursion_error(ladder, table, y, xs)
         assert kernel_err == reference_kernel_error(ladder, table, xs)
 
+    @pytest.mark.parametrize("name", ["p5", "asym", "random8"])
+    def test_e_column_builds_each_value_once(self, systems, name, monkeypatch):
+        # the column's Richardson check reads the values and slopes it built
+        ladder, table = systems[name]
+        xs = [0, ladder.a, 1, ladder.a, 2 * ladder.a + 1]
+        calls = []
+        for fn in (e_value, e_tilde_value):
+            def counted(*args, fn=fn):
+                calls.append((fn.__name__, args[-2]))
+                return fn(*args)
+            monkeypatch.setattr(reflection, fn.__name__, counted)
+        col = e_column(ladder, table, 2, xs)
+        assert sorted(calls) == sorted((f, x) for f in ("e_tilde_value", "e_value") for x in set(xs))
+        monkeypatch.undo()
+        assert col.values == {x: e_value(ladder, x, 2) for x in xs}
+        assert col.tilde == {x: e_tilde_value(ladder, table, x, 2) for x in xs}
+        with pytest.raises(InvalidInput):
+            e_column(ladder, table, 2, [1, -1])
+
     def test_excursion_oracle_rejects_a_negative_start(self, systems):
         ladder, table = systems["p5"]
         with pytest.raises(InvalidInput):
