@@ -365,12 +365,14 @@ def tilting_identity_check(law: LatticeLaw, n: int) -> float:
     for _ in range(n):
         paths = [p + [k] for p in paths for k in support]
 
+    mass = {k: law.mass(k) for k in support}
+    tilted_mass = {k: tilted.mass(k) for k in support}
     p_orig = np.empty(len(paths))
     p_tilt = np.empty(len(paths))
     endpoints = np.empty(len(paths))
     for i, p in enumerate(paths):
-        p_orig[i] = math.prod(law.mass(k) for k in p)
-        p_tilt[i] = math.prod(tilted.mass(k) for k in p)
+        p_orig[i] = math.prod(map(mass.__getitem__, p))
+        p_tilt[i] = math.prod(map(tilted_mass.__getitem__, p))
         endpoints[i] = sum(p)
     weight = p_tilt * info.rho0**n * info.r0 ** (-endpoints)
 

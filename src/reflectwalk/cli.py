@@ -395,7 +395,7 @@ def _cmd_compare(args, law) -> int:
     if not grid:
         raise InvalidInput(f"horizon n_max must be >= 16, the first grid point, got {args.n_max}")
     asym = asymptotic_law(law, args.x, args.y)
-    column = n_step_series(law, args.x, [args.y], args.n_max)[args.y]
+    column = n_step_series(law, args.x, [args.y], grid[-1])[args.y]
     config = SimConfig(law, args.x, grid[-1], args.paths, args.seed)
     result = simulate(config, checkpoints=grid)
     estimates = [result.estimate(args.y, n) for n in grid]

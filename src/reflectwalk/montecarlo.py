@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -210,6 +209,9 @@ def _simulate_block(config, increments, checkpoints, lo, hi):
 def _run_blocks(config: SimConfig, block_fn, *args) -> list:
     """block_fn(config, increments, *args, lo, hi) for every path block, on a
     thread pool; the results come back in block order."""
+    # imported here: only the Monte Carlo commands pay for concurrent.futures
+    from concurrent.futures import ThreadPoolExecutor
+
     increments = _IncrementMap(config.law)
     workers = _max_workers()
     blocks = _path_blocks(config.paths, workers)

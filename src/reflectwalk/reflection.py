@@ -37,18 +37,29 @@ EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 10_000
 
 
-def _renewal_sum(u_minus, u_plus, x: int, y: int) -> float:
-    """sum_k u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), correctly rounded."""
-    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
+def _renewal_sum(u_minus: np.ndarray, u_plus: np.ndarray, x: int, y: int) -> float:
+    """sum_k u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), correctly rounded
+    (so the order of the products does not matter)."""
+    n = min(x, y) + 1
+    if n <= 0:
+        return 0.0
+    return math.fsum((u_minus[x - n + 1 : x + 1] * u_plus[y - n + 1 : y + 1]).tolist())
 
 
-def _kernel_row(u_minus, phi_minus, x: int) -> np.ndarray:
+def _kernel_row(u_minus: np.ndarray, phi_minus: np.ndarray, x: int) -> np.ndarray:
     """sum_k u_minus[x - k] phi_minus[k + y - 1] over k = 0..min(x, a - y), for
     y = 1..a (a = len(phi_minus)): the renewal sum against phi_minus read
     backwards, at a - y. Fed a potential and a descent law at one s, or one of
     them and the other's slope."""
-    a, backwards = phi_minus.shape[0], phi_minus[::-1]
-    return np.array([_renewal_sum(u_minus, backwards, x, a - y) for y in range(1, a + 1)])
+    a = phi_minus.shape[0]
+    rows = min(x, a - 1) + 1
+    # products[k][j] = u_minus[x - k] phi_minus[j], flattened: entry y sums
+    # the diagonal j = k + y - 1, every (a + 1)-th item from y - 1
+    products = np.multiply.outer(u_minus[x - rows + 1 : x + 1][::-1], phi_minus).ravel().tolist()
+    return np.array([
+        math.fsum(products[y - 1 : (y - 1) + min(rows, a - y + 1) * (a + 1) : a + 1])
+        for y in range(1, a + 1)
+    ])
 
 
 def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
@@ -81,6 +92,24 @@ def r_row_at_s(law: LatticeLaw, s: float, x: int, fp: FactorPair | None = None) 
     return _kernel_row(u_minus_at(fp, x), fp.phi_minus, x)
 
 
+def _stationary_weights(mu_minus: np.ndarray, include_left: bool) -> np.ndarray:
+    """The closed-form stationary weights on [1, a], normalized; the middle
+    sum over v runs from x (include_left) or x + 1 up to min(x + y - 1, a)."""
+    a = mu_minus.shape[0]
+    mu = mu_minus.tolist()  # mu[v-1] = mass of a ladder step of size -v
+    nu = np.zeros(a)
+    for x in range(1, a + 1):
+        total = 0.0
+        lo_v = x if include_left else x + 1
+        for y in range(1, a + 1):
+            term = 0.5 * mu[x - 1] + math.fsum(mu[lo_v - 1 : min(x + y - 1, a)])
+            if x + y <= a:
+                term += 0.5 * mu[x + y - 1]
+            total += term * mu[y - 1]
+        nu[x - 1] = total
+    return nu / math.fsum(nu.tolist())
+
+
 def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> tuple[np.ndarray, str]:
     """Stationary probability of the reflection-target chain on [1, a].
 
@@ -91,26 +120,9 @@ def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> tuple[np.ndarray, s
     a = 1). Raises StationarityFailure if neither reading is stationary within
     STATIONARY_TOL (total variation).
     """
-    a = ladder.a
-    mu = ladder.mu_minus  # mu[v-1] = mass of a ladder step of size -v
-
-    def weights(include_left: bool) -> np.ndarray:
-        nu = np.zeros(a)
-        for x in range(1, a + 1):
-            total = 0.0
-            for y in range(1, a + 1):
-                lo_v = x if include_left else x + 1
-                mid = math.fsum(mu[v - 1] for v in range(lo_v, min(x + y - 1, a) + 1))
-                term = 0.5 * mu[x - 1] + mid
-                if x + y <= a:
-                    term += 0.5 * mu[x + y - 1]
-                total += term * mu[y - 1]
-            nu[x - 1] = total
-        return nu / math.fsum(nu.tolist())
-
     best = None
     for include_left, name in ((False, "halfopen[1-x-y,-x)"), (True, "closed[1-x-y,-x]")):
-        nu = weights(include_left)
+        nu = _stationary_weights(ladder.mu_minus, include_left)
         residual = float(np.sum(np.abs(nu @ core - nu)))
         if best is None or residual < best[2]:
             best = (nu, name, residual)

@@ -59,24 +59,28 @@ class FactorPair:
         return sum(d * z**j for j, d in enumerate(self.phi_plus))
 
 
-def _polyval(coeffs_low_first: np.ndarray, z: complex) -> complex:
-    acc = 0.0 + 0.0j
-    for c in coeffs_low_first[::-1]:
+def _polyval(coeffs_low_first: list, z: complex) -> complex:
+    """Horner's rule on Python complex numbers; coeffs_low_first is a list of
+    floats. Complex products and sums round as numpy's scalar ones do."""
+    acc, z = 0.0 + 0.0j, complex(z)
+    for c in reversed(coeffs_low_first):
         acc = acc * z + c
     return acc
 
 
 def _polish_roots(coeffs_low_first: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """A few Newton corrections per root against the full polynomial."""
-    deriv = coeffs_low_first[1:] * np.arange(1, coeffs_low_first.shape[0])
+    deriv = (coeffs_low_first[1:] * np.arange(1, coeffs_low_first.shape[0])).tolist()
+    coeffs = coeffs_low_first.tolist()
     out = []
     for z in roots:
         for _ in range(6):
-            p = _polyval(coeffs_low_first, z)
+            p = _polyval(coeffs, z)
             dp = _polyval(deriv, z)
             if dp == 0:
                 break
-            step = p / dp
+            # numpy's complex division, not Python's: the two round differently
+            step = np.complex128(p) / dp
             z = z - step
             if abs(step) < 1e-16 * max(1.0, abs(z)):
                 break
@@ -86,14 +90,13 @@ def _polish_roots(coeffs_low_first: np.ndarray, roots: np.ndarray) -> np.ndarray
 
 def _deflate_root_one(coeffs_low_first: np.ndarray) -> tuple[np.ndarray, float]:
     """Synthetic division by (z - 1); returns (quotient, remainder)."""
-    n = coeffs_low_first.shape[0] - 1
-    quo = np.zeros(n)
+    coeffs = coeffs_low_first.tolist()
+    quo = []
     acc = 0.0
-    for j in range(n, 0, -1):
-        acc += coeffs_low_first[j]
-        quo[j - 1] = acc
-    rem = acc + coeffs_low_first[0]
-    return quo, rem
+    for c in reversed(coeffs[1:]):
+        acc += c
+        quo.append(acc)
+    return np.array(quo[::-1]), acc + coeffs[0]
 
 
 def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
@@ -162,10 +165,10 @@ def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
     phi_plus[np.abs(phi_plus) < 1e-13] = 0.0
     fp = FactorPair(s, phi_minus, phi_plus, 0.0)
 
-    circle_residual = 0.0
+    circle_residual, masses = 0.0, law.masses.tolist()
     for k in range(64):
         z = np.exp(2j * np.pi * k / 64)
-        lhs = 1.0 - s * _polyval(law.masses, z) * z**law.lo
+        lhs = 1.0 - s * _polyval(masses, z) * z**law.lo
         rhs = (1.0 - fp.phi_minus_at(z)) * (1.0 - fp.phi_plus_at(z))
         circle_residual = max(circle_residual, abs(lhs - rhs))
     residual = max(division_residual, circle_residual)
@@ -255,11 +258,16 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
 def _potential(taps: np.ndarray, depth: int, stay: float = 1.0) -> np.ndarray:
     """Renewal potential u, k = 0..depth: u[0] = 1 / stay and
     u[k] = sum_j taps[j-1] u[k-j] / stay over j = 1..min(k, len(taps))."""
-    u = np.zeros(depth + 1)
-    u[0] = 1.0 / stay
+    # Python floats, summed j = 1 first; not sum(), which compensates on 3.12+
+    t, stay = taps.tolist(), float(stay)
+    m = len(t)
+    u = [1.0 / stay]
     for k in range(1, depth + 1):
-        u[k] = sum(taps[j - 1] * u[k - j] for j in range(1, min(k, taps.shape[0]) + 1)) / stay
-    return u
+        acc = 0.0
+        for tap, v in zip(t, reversed(u[max(0, k - m) : k])):
+            acc += tap * v
+        u.append(acc / stay)
+    return np.array(u)
 
 
 def u_minus_at(fp: FactorPair, depth: int) -> np.ndarray:

@@ -1,4 +1,5 @@
 import difflib
+import math
 
 import numpy as np
 import pytest
@@ -33,13 +34,14 @@ def law_asym() -> LatticeLaw:
     return law_from_masses({-2: 0.1, -1: 0.2, 0: 0.3, 1: 0.4})
 
 
-def random_laws(count: int, seed: int, centered: bool):
-    """Seeded sample of valid laws; centered ones are produced by tilting."""
+def random_laws(count: int, seed: int, centered: bool, width: int = 3):
+    """Seeded sample of valid laws with a, b in 1..width; centered ones are
+    produced by tilting."""
     rng = np.random.default_rng(seed)
     laws = []
     while len(laws) < count:
-        a = int(rng.integers(1, 4))
-        b = int(rng.integers(1, 4))
+        a = int(rng.integers(1, width + 1))
+        b = int(rng.integers(1, width + 1))
         masses = rng.dirichlet(np.ones(a + b + 1)) + 0.02
         masses /= masses.sum()
         law = law_from_masses({k - a: m for k, m in enumerate(masses)})
@@ -144,3 +146,87 @@ def golden_mismatch(name: str, out: str, golden: str, limit: int = 40) -> str:
     lines = list(diff)
     more = [f"... {len(lines) - limit} more diff lines"] if len(lines) > limit else []
     return "\n".join([f"golden mismatch for {name}:", *lines[:limit], *more])
+
+
+# ------------------------------------------------------------------ reference
+# The closed-form kernels as first written, one numpy scalar at a time. The
+# library computes them on Python floats and whole arrays; each value must
+# come out with the same bits (see tests/test_closed_form_bits.py).
+
+
+def polyval_reference(coeffs_low_first: np.ndarray, z: complex) -> complex:
+    """Horner's rule on numpy scalars."""
+    acc = 0.0 + 0.0j
+    for c in coeffs_low_first[::-1]:
+        acc = acc * z + c
+    return acc
+
+
+def polish_roots_reference(coeffs_low_first: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Newton corrections per root, on numpy scalars throughout."""
+    deriv = coeffs_low_first[1:] * np.arange(1, coeffs_low_first.shape[0])
+    out = []
+    for z in roots:
+        for _ in range(6):
+            p = polyval_reference(coeffs_low_first, z)
+            dp = polyval_reference(deriv, z)
+            if dp == 0:
+                break
+            step = p / dp
+            z = z - step
+            if abs(step) < 1e-16 * max(1.0, abs(z)):
+                break
+        out.append(z)
+    return np.array(out)
+
+
+def deflate_root_one_reference(coeffs_low_first: np.ndarray) -> tuple[np.ndarray, float]:
+    """Synthetic division by (z - 1), indexing the array term by term."""
+    n = coeffs_low_first.shape[0] - 1
+    quo = np.zeros(n)
+    acc = 0.0
+    for j in range(n, 0, -1):
+        acc += coeffs_low_first[j]
+        quo[j - 1] = acc
+    rem = acc + coeffs_low_first[0]
+    return quo, rem
+
+
+def potential_reference(taps: np.ndarray, depth: int, stay: float = 1.0, reverse: bool = False) -> np.ndarray:
+    """u[0] = 1 / stay, u[k] = sum_j taps[j-1] u[k-j] / stay with sum() over
+    numpy scalars, j = 1 first (or last, with `reverse`: a wrong order that
+    the bit tests must be able to tell apart)."""
+    u = np.zeros(depth + 1)
+    u[0] = 1.0 / stay
+    for k in range(1, depth + 1):
+        js = range(1, min(k, taps.shape[0]) + 1)
+        u[k] = sum(taps[j - 1] * u[k - j] for j in (reversed(js) if reverse else js)) / stay
+    return u
+
+
+def renewal_sum_reference(u_minus, u_plus, x: int, y: int) -> float:
+    """fsum of u_minus[x - k] u_plus[y - k] over k = 0..min(x, y), term by term."""
+    return math.fsum(u_minus[x - k] * u_plus[y - k] for k in range(0, min(x, y) + 1))
+
+
+def kernel_row_reference(u_minus, phi_minus, x: int) -> np.ndarray:
+    """One `renewal_sum_reference` per y = 1..a against phi_minus read backwards."""
+    a, backwards = phi_minus.shape[0], phi_minus[::-1]
+    return np.array([renewal_sum_reference(u_minus, backwards, x, a - y) for y in range(1, a + 1)])
+
+
+def stationary_weights_reference(mu: np.ndarray, include_left: bool) -> np.ndarray:
+    """The normalized closed-form stationary weights, on numpy scalars."""
+    a = mu.shape[0]
+    nu = np.zeros(a)
+    for x in range(1, a + 1):
+        total = 0.0
+        for y in range(1, a + 1):
+            lo_v = x if include_left else x + 1
+            mid = math.fsum(mu[v - 1] for v in range(lo_v, min(x + y - 1, a) + 1))
+            term = 0.5 * mu[x - 1] + mid
+            if x + y <= a:
+                term += 0.5 * mu[x + y - 1]
+            total += term * mu[y - 1]
+        nu[x - 1] = total
+    return nu / math.fsum(nu.tolist())

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from reflectwalk import (
     asymptotics,
     chain,
+    cli,
     descent_joint_table,
     factorize_at,
     fluctuation,
@@ -335,6 +336,26 @@ class TestSimulateAndCompare:
         # MC column sits within 4 stderr of exact
         for r in rows:
             assert abs(float(r[3]) - float(r[1])) < 4 * max(float(r[4]), 1e-9)
+
+    @pytest.mark.parametrize("law_path,x,y", [(LAW_A, 0, 1), (LAW_B, 3, 2)], ids=["lawA", "lawB"])
+    def test_compare_walks_only_to_the_last_grid_point(self, law_path, x, y, monkeypatch, capsys):
+        # the grid stops at 512 for both horizons, and so do the DP walk and the paths
+        horizons = []
+
+        def recording(law, start, ys, n_max):
+            horizons.append(n_max)
+            return chain.n_step_series(law, start, ys, n_max)
+
+        monkeypatch.setattr(cli, "n_step_series", recording)
+        outs = []
+        for n_max in ("1000", "512"):
+            argv = ["compare", "--law", law_path, "--x", str(x), "--y", str(y), "--n-max", n_max,
+                    "--paths", "2000", "--seed", "5"]
+            code, out, _ = run(argv, capsys)
+            assert code == 0
+            outs.append(out)
+        assert outs[0] == outs[1]
+        assert horizons == [512, 512]
 
 
 def reference_line(row) -> str:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -310,3 +314,13 @@ class TestEstimateNu:
         # positive drift from far out: no reflection in a short horizon
         with pytest.raises(NoReflectionsObserved):
             estimate_nu(SimConfig(law_b, 500, 10, 50, 3), burnin=0)
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # the pool module is imported by the first Monte Carlo run, not by every command
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, reflectwalk.cli; print('concurrent.futures' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
