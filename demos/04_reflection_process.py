@@ -18,7 +18,7 @@ from reflectwalk import (
     r_row_at_s,
     slopes,
 )
-from reflectwalk.reflection import doeblin_gap
+from reflectwalk.reflection import NU_CONVENTION, doeblin_gap
 
 law = law_from_masses({k: 0.2 for k in range(-2, 3)})
 ladder = ladder_laws(law)
@@ -30,7 +30,7 @@ for x in (0, 1, 2, 5, 8):
     print(f"  x={x}: {np.round(core.rows[x], 6)}  (sum {core.rows[x].sum():.12f})")
 
 print("\n== stationary law of the reflection targets ==")
-print(f"nu = {np.round(core.nu, 9)}  (convention: {core.nu_convention})")
+print(f"nu = {np.round(core.nu, 9)}  (convention: {NU_CONVENTION})")
 residual = float(np.sum(np.abs(core.nu @ core.core - core.nu)))
 print(f"stationarity residual |nu R - nu|_1 = {residual:.2e}")
 

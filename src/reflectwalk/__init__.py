@@ -5,6 +5,10 @@ increment law. This package computes its n-step laws exactly, factorizes the
 associated ladder structure in closed form, and assembles the n -> infinity
 return-probability constants, each cross-checked against independent
 dynamic-programming and Monte Carlo oracles.
+
+The top level exports what the command line, the demos and the README quick
+start use, with the types they return and the errors they raise; every other
+name is imported from its module.
 """
 
 __version__ = "0.1.0"
@@ -22,7 +26,6 @@ from .asymptotics import (
 )
 from .chain import (
     StepRow,
-    excursion_series,
     excursion_table,
     n_step_rows,
     n_step_series,
@@ -50,9 +53,7 @@ from .errors import (
     StationarityFailure,
 )
 from .fluctuation import (
-    ascent_joint_table,
     descent_joint_table,
-    stay_nonneg_table,
     stay_series,
 )
 from .laws import (
@@ -61,7 +62,6 @@ from .laws import (
     Regime,
     TiltInfo,
     check_hypotheses,
-    law_from_json,
     law_from_masses,
     load_law,
     mgf,
@@ -69,20 +69,15 @@ from .laws import (
     moments,
     tilt,
 )
-from .montecarlo import Estimate, SimConfig, SimResult, estimate_nu, estimate_pxy, simulate
+from .montecarlo import Estimate, SimConfig, SimResult, estimate_nu, simulate
 from .reflection import (
     ExcursionColumn,
     ReflectionCore,
     build_reflection_core,
-    doeblin_kappa,
     dominant_eigenvalue,
     e_column,
     e_value,
-    r_core,
-    r_row,
     r_row_at_s,
-    resolvent_apply,
-    stationary_nu,
 )
 from .wiener_hopf import (
     FactorPair,

@@ -37,6 +37,7 @@ SQRT_PI = math.sqrt(math.pi)
 # relative gap allowed between a closed-form constant and its DP extrapolation
 CENTERED_GAP_TOL = 0.02
 DRIFTED_GAP_TOL = 0.05
+CENTERED_ORACLE_N = 4000  # default horizon of the centered oracle
 DRIFTED_ORACLE_CAP = 20_000  # longest default horizon of the drifted oracle
 TILTING_EVENTS = 100  # random path events per tilting identity check
 TILTING_SEED = 90714
@@ -264,7 +265,7 @@ def asymptotic_law(
 
 
 def oracle_constant_centered(
-    law: LatticeLaw, y: int, x: int = 0, n_max: int = 4000
+    law: LatticeLaw, y: int, x: int = 0, n_max: int = CENTERED_ORACLE_N
 ) -> float:
     """DP extrapolation of sqrt(n) P_x[X_n = y] against c0 + c1/sqrt(n)."""
     if n_max < 2:  # the fit window n_max // 2 .. n_max must leave out n = 0
@@ -322,7 +323,7 @@ def constant_report(
     """
     asym = asymptotic_law(law, x, y, objects)
     if asym.regime is Regime.CENTERED:
-        n_max = 4000 if oracle_n is None else oracle_n
+        n_max = CENTERED_ORACLE_N if oracle_n is None else oracle_n
         tol = CENTERED_GAP_TOL
         oracle = oracle_constant_centered(law, y, x=x, n_max=n_max)
     else:

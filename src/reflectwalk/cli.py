@@ -14,7 +14,7 @@ import json
 import math
 import sys
 import time
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .fluctuation import descent_joint_table, stay_series
 from .laws import Regime, check_hypotheses, load_law, minimize_mgf, moments, tilt
 from .montecarlo import SimConfig, simulate
 from .reflection import (
+    NU_CONVENTION,
     build_reflection_core,
     doeblin_gap,
     dominant_eigenvalue,
@@ -379,7 +380,7 @@ def _cmd_constants(args, law) -> int:
             "tilted": tilted,
             "r0": r0,
             "nu": {str(x): float(core.nu[x - 1]) for x in range(1, base.a + 1)},
-            "nu_convention": core.nu_convention,
+            "nu_convention": NU_CONVENTION,
             "kappa": core.kappa,
             "R_rows": {str(x): [float(v) for v in core.rows[x]] for x in core.x_window},
             "R_tilde_rows": {str(x): [float(v) for v in core.tilde_rows[x]] for x in core.x_window},
@@ -565,6 +566,7 @@ def _cmd_validate(args, law) -> int:
 # ---------------------------------------------------------------- wiring
 
 
+@cache  # built on the first `main` call and kept: parsing leaves it unchanged
 def _build_parser() -> _Parser:
     parser = _Parser(prog="reflectwalk", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)

@@ -33,6 +33,9 @@ from .wiener_hopf import (
 )
 
 STATIONARY_TOL = 1e-8  # total variation of nu R - nu
+# The reading of the stationary weights' middle interval; the closed reading
+# [1-x-y, -x] is not stationary on random laws with a > 1 (TV 0.03-0.23).
+NU_CONVENTION = "halfopen[1-x-y,-x)"
 EIGEN_TOL = 1e-13
 EIGEN_MAX_ITER = 10_000
 
@@ -92,17 +95,17 @@ def r_row_at_s(law: LatticeLaw, s: float, x: int, fp: FactorPair | None = None) 
     return _kernel_row(u_minus_at(fp, x), fp.phi_minus, x)
 
 
-def _stationary_weights(mu_minus: np.ndarray, include_left: bool) -> np.ndarray:
+def _stationary_weights(mu_minus: np.ndarray) -> np.ndarray:
     """The closed-form stationary weights on [1, a], normalized; the middle
-    sum over v runs from x (include_left) or x + 1 up to min(x + y - 1, a)."""
+    sum over v runs from x + 1 up to min(x + y - 1, a), the half-open reading
+    NU_CONVENTION of the source's interval."""
     a = mu_minus.shape[0]
     mu = mu_minus.tolist()  # mu[v-1] = mass of a ladder step of size -v
     nu = np.zeros(a)
     for x in range(1, a + 1):
         total = 0.0
-        lo_v = x if include_left else x + 1
         for y in range(1, a + 1):
-            term = 0.5 * mu[x - 1] + math.fsum(mu[lo_v - 1 : min(x + y - 1, a)])
+            term = 0.5 * mu[x - 1] + math.fsum(mu[x : min(x + y - 1, a)])
             if x + y <= a:
                 term += 0.5 * mu[x + y - 1]
             total += term * mu[y - 1]
@@ -110,29 +113,23 @@ def _stationary_weights(mu_minus: np.ndarray, include_left: bool) -> np.ndarray:
     return nu / math.fsum(nu.tolist())
 
 
-def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> tuple[np.ndarray, str]:
+def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> np.ndarray:
     """Stationary probability of the reflection-target chain on [1, a].
 
-    Evaluates the closed-form stationary weights and normalizes. The middle
-    term's interval typography is ambiguous in the source, so both readings
-    are tried and the one that is actually stationary for `core`, the
-    kernel's a x a block as `r_core` builds it, is kept (they coincide for
-    a = 1). Raises StationarityFailure if neither reading is stationary within
-    STATIONARY_TOL (total variation).
+    Evaluates the closed-form stationary weights and checks them against
+    `core`, the kernel's a x a block as `r_core` builds it. Raises
+    StationarityFailure if nu core - nu exceeds STATIONARY_TOL in total
+    variation.
     """
-    best = None
-    for include_left, name in ((False, "halfopen[1-x-y,-x)"), (True, "closed[1-x-y,-x]")):
-        nu = _stationary_weights(ladder.mu_minus, include_left)
-        residual = float(np.sum(np.abs(nu @ core - nu)))
-        if best is None or residual < best[2]:
-            best = (nu, name, residual)
-        if residual < STATIONARY_TOL:
-            nu.flags.writeable = False
-            return nu, name
-    raise StationarityFailure(
-        f"no bracket convention is stationary: best {best[1]} "
-        f"has TV residual {best[2]:.3e} (tolerance {STATIONARY_TOL:.1e})"
-    )
+    nu = _stationary_weights(ladder.mu_minus)
+    residual = float(np.sum(np.abs(nu @ core - nu)))
+    if not residual < STATIONARY_TOL:
+        raise StationarityFailure(
+            f"stationary weights ({NU_CONVENTION}) are not stationary: TV residual "
+            f"{residual:.3e} (tolerance {STATIONARY_TOL:.1e})"
+        )
+    nu.flags.writeable = False
+    return nu
 
 
 def doeblin_kappa(ladder: LadderSystem) -> float:
@@ -199,7 +196,6 @@ class ReflectionCore:
     rows: dict
     core: np.ndarray
     nu: np.ndarray
-    nu_convention: str
     kappa: float
     tilde_rows: dict
     slope_rel_err: float
@@ -227,14 +223,12 @@ def build_reflection_core(ladder: LadderSystem, slope_table: SlopeTable) -> Refl
     xs = list(range(0, max(2 * a, 8) + 1))
     rows = r_rows(ladder, xs)
     core = np.array([rows[x] for x in range(1, a + 1)])
-    nu, convention = stationary_nu(ladder, core)
+    nu = stationary_nu(ladder, core)
     kappa = doeblin_kappa(ladder)
     tilde = r_tilde_rows(ladder, slope_table, xs)
     err = kernel_slope_oracle_error(ladder, rows, tilde)
     core.flags.writeable = False
-    return ReflectionCore(
-        ladder, tuple(xs), rows, core, nu, convention, kappa, tilde, err
-    )
+    return ReflectionCore(ladder, tuple(xs), rows, core, nu, kappa, tilde, err)
 
 
 @dataclass(frozen=True, eq=False)

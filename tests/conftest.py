@@ -215,15 +215,14 @@ def kernel_row_reference(u_minus, phi_minus, x: int) -> np.ndarray:
     return np.array([renewal_sum_reference(u_minus, backwards, x, a - y) for y in range(1, a + 1)])
 
 
-def stationary_weights_reference(mu: np.ndarray, include_left: bool) -> np.ndarray:
+def stationary_weights_reference(mu: np.ndarray) -> np.ndarray:
     """The normalized closed-form stationary weights, on numpy scalars."""
     a = mu.shape[0]
     nu = np.zeros(a)
     for x in range(1, a + 1):
         total = 0.0
         for y in range(1, a + 1):
-            lo_v = x if include_left else x + 1
-            mid = math.fsum(mu[v - 1] for v in range(lo_v, min(x + y - 1, a) + 1))
+            mid = math.fsum(mu[v - 1] for v in range(x + 1, min(x + y - 1, a) + 1))
             term = 0.5 * mu[x - 1] + mid
             if x + y <= a:
                 term += 0.5 * mu[x + y - 1]

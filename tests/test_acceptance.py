@@ -26,12 +26,10 @@ from reflectwalk import (
     minimize_mgf,
     n_step_table,
     oracle_constant_drifted,
-    r_core,
     r_row_at_s,
     roots_z_pm,
     simulate,
     slopes,
-    stationary_nu,
     tilt,
     tilting_identity_check,
     verify_first_reflection_identity,
@@ -41,9 +39,11 @@ from reflectwalk.reflection import (
     doeblin_gap,
     excursion_slope_oracle_error,
     kernel_slope_oracle_error,
+    r_core,
     r_rows,
     r_tilde_row,
     r_tilde_rows,
+    stationary_nu,
 )
 from reflectwalk.cli import main
 from conftest import golden_mismatch
@@ -108,7 +108,7 @@ def test_05_stationarity_and_mc_occupation():
         for law, horizon, paths, seed, burnin in cases:
             ladder = ladder_laws(law)
             core = r_core(ladder)
-            nu, _ = stationary_nu(ladder, core)
+            nu = stationary_nu(ladder, core)
             assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
             est = estimate_nu(SimConfig(law, 0, horizon, paths, seed), burnin=burnin)
             for w in range(1, law.a + 1):

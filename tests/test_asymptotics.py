@@ -12,7 +12,6 @@ from reflectwalk import (
     centered_constant,
     constant_report,
     drifted_constant,
-    excursion_series,
     law_from_masses,
     minimize_mgf,
     oracle_constant_centered,
@@ -21,6 +20,7 @@ from reflectwalk import (
     tilt,
     tilting_identity_check,
 )
+from reflectwalk.chain import excursion_series
 from reflectwalk.asymptotics import drifted_objects
 from conftest import e_value_at_s, random_laws
 

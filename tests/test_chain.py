@@ -8,22 +8,20 @@ from hypothesis import strategies as st
 from reflectwalk import (
     HorizonTooLarge,
     InvalidInput,
-    ascent_joint_table,
     descent_joint_table,
-    excursion_series,
     excursion_table,
     law_from_masses,
     n_step_rows,
     n_step_series,
     n_step_table,
     reflection_time_table,
-    stay_nonneg_table,
     stay_series,
     step_row,
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY, _columns, _evolve
+from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY, _columns, _evolve, excursion_series
+from reflectwalk.fluctuation import ascent_joint_table, stay_nonneg_table
 from conftest import assert_matches_untrimmed, assert_trimmed, dp_step, random_laws, untrimmed_walk
 
 

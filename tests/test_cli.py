@@ -255,6 +255,27 @@ class TestManifest:
         d2 = json.loads(err2.strip().splitlines()[-1])["law_digest"]
         assert d1 == d2
 
+    def test_one_parser_serves_every_call(self, capsys):
+        # each manifest holds only its own call's options, and a usage error
+        # leaves the parser as it was
+        cli._build_parser.cache_clear()
+        calls = [
+            (["analyze", "--law", LAW_A], 0, {"law": LAW_A, "drift_tol": 1e-9}),
+            (["exact", "--law", LAW_B, "--start", "1", "--n", "5"], 0, {"law": LAW_B, "start": 1, "n": 5}),
+            (["exact", "--law", LAW_A, "--n", "5"], 1, None),
+            (["analyze", "--law", LAW_B, "--drift-tol", "0.5"], 0, {"law": LAW_B, "drift_tol": 0.5}),
+        ]
+        for argv, want_code, want_parameters in calls:
+            code, out, err = run(argv, capsys)
+            assert code == want_code
+            if want_parameters is None:
+                assert out == "" and err.startswith("usage error:")
+            else:
+                manifest = json.loads(err.strip().splitlines()[-1])
+                assert manifest["command"] == argv[0]
+                assert manifest["parameters"] == want_parameters
+        assert cli._build_parser.cache_info().misses == 1
+
 
 class TestExact:
     def test_time_zero_single_row(self, capsys):

@@ -5,14 +5,13 @@ import pytest
 
 from reflectwalk import (
     HorizonTooLarge,
-    ascent_joint_table,
     descent_joint_table,
     ladder_laws,
     law_from_masses,
     n_step_table,
-    stay_nonneg_table,
     stay_series,
 )
+from reflectwalk.fluctuation import ascent_joint_table, stay_nonneg_table
 import reflectwalk.chain as chain
 import reflectwalk.fluctuation as fluctuation
 from reflectwalk.chain import TINY, _evolve

@@ -8,13 +8,13 @@ from reflectwalk import (
     NonPositiveArgument,
     Regime,
     check_hypotheses,
-    law_from_json,
     law_from_masses,
     mgf,
     minimize_mgf,
     moments,
     tilt,
 )
+from reflectwalk.laws import law_from_json
 from conftest import random_laws
 
 
@@ -24,8 +24,11 @@ class TestConstruction:
             law_from_masses({-1: -0.1, 0: 0.6, 1: 0.5})
 
     def test_rejects_bad_sum(self):
-        with pytest.raises(InvalidLaw, match="sum"):
-            law_from_masses({-1: 0.5, 1: 0.6})
+        # the masses must sum to 1 within 1e-12
+        for masses in ({-1: 0.5, 1: 0.6}, {-1: 0.5, 1: 0.5 + 1e-10}):
+            with pytest.raises(InvalidLaw, match="sum"):
+                law_from_masses(masses)
+        assert law_from_masses({-1: 0.5, 1: 0.5 + 1e-14}).masses[-1] == 0.5 + 1e-14
 
     def test_rejects_loose_window(self):
         with pytest.raises(InvalidLaw):

@@ -17,15 +17,14 @@ from reflectwalk import (
     ReflectWalkError,
     SimConfig,
     estimate_nu,
-    estimate_pxy,
     law_from_masses,
     ladder_laws,
     n_step_table,
-    r_core,
     simulate,
-    stationary_nu,
 )
-from reflectwalk.chain import STREAMING_N_MAX_CAP
+from reflectwalk.montecarlo import estimate_pxy
+from reflectwalk.reflection import r_core, stationary_nu
+from reflectwalk.chain import DEFAULT_N_MAX_CAP, MEMORY_CAP_FLOATS, STREAMING_N_MAX_CAP
 from reflectwalk.philox import uniforms
 
 
@@ -193,9 +192,22 @@ class TestCaps:
             SimConfig(law_a, 0, STREAMING_N_MAX_CAP + 1, 1, 0)
 
     def test_path_steps_cap(self, law_a):
-        SimConfig(law_a, 0, 1, montecarlo.PATH_STEPS_CAP, 0)
+        # the README's 10^9, as a literal so that moving the cap fails here
+        SimConfig(law_a, 0, 1, 10**9, 0)
         with pytest.raises(HorizonTooLarge, match="paths"):
-            SimConfig(law_a, 0, 1, montecarlo.PATH_STEPS_CAP + 1, 0)
+            SimConfig(law_a, 0, 1, 10**9 + 1, 0)
+
+    def test_caps_are_the_readme_values(self):
+        readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
+        caps = [
+            (MEMORY_CAP_FLOATS, 50_000_000, "an estimated 5·10^7 floats at most"),
+            (DEFAULT_N_MAX_CAP, 10_000, "and a horizon of at most 10,000"),
+            (STREAMING_N_MAX_CAP, 50_000, "takes at most 50,000 steps"),
+            (montecarlo.PATH_STEPS_CAP, 1_000_000_000, "`paths * horizon` at most 10^9"),
+            (montecarlo.STATE_CAP, 5_000_000, "`start + b * horizon` at most 5,000,000"),
+        ]
+        for cap, value, stated in caps:
+            assert cap == value and stated in readme
 
     def test_state_cap(self, law_p5):
         reach = montecarlo.STATE_CAP - law_p5.b * 10
@@ -298,7 +310,7 @@ class TestEstimateNu:
 
     def test_five_point_matches_closed_form(self, law_p5):
         ladder = ladder_laws(law_p5)
-        nu, _ = stationary_nu(ladder, r_core(ladder))
+        nu = stationary_nu(ladder, r_core(ladder))
         est = estimate_nu(SimConfig(law_p5, 0, 20_000, 300, 2024), burnin=100)
         for w in (1, 2):
             assert abs(est[w].point - nu[w - 1]) < 3 * est[w].stderr

@@ -10,8 +10,8 @@ from reflectwalk import (
     InvalidInput,
     NotInvertibleCentered,
     SingularSystem,
+    StationarityFailure,
     build_reflection_core,
-    doeblin_kappa,
     dominant_eigenvalue,
     e_column,
     e_value,
@@ -19,25 +19,26 @@ from reflectwalk import (
     ladder_laws,
     law_from_masses,
     minimize_mgf,
-    r_core,
-    r_row,
     r_row_at_s,
     reflection_time_table,
-    resolvent_apply,
     slopes,
-    stationary_nu,
     tilt,
 )
 from reflectwalk import reflection, wiener_hopf
 from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
+    doeblin_kappa,
     e_tilde_value,
     excursion_slope_oracle_error,
     kernel_slope_oracle_error,
+    r_core,
+    r_row,
     r_rows,
     r_tilde_row,
     r_tilde_rows,
+    resolvent_apply,
+    stationary_nu,
 )
 from reflectwalk.wiener_hopf import richardson_slope, u_minus_at, u_plus_at
 from conftest import e_value_at_s, random_laws
@@ -105,28 +106,27 @@ class TestKernel:
 
 class TestStationaryLaw:
     def test_law_a_is_delta(self, ladders):
-        nu, convention = stationary_nu(ladders["a"], r_core(ladders["a"]))
+        nu = stationary_nu(ladders["a"], r_core(ladders["a"]))
         assert nu == pytest.approx([1.0])
-        assert "1-x-y" in convention
 
     def test_any_unit_overshoot_law_is_delta(self, law_b):
         from reflectwalk import minimize_mgf, tilt
 
         tilted = tilt(law_b, minimize_mgf(law_b).r0)
         ladder = ladder_laws(tilted)
-        nu, _ = stationary_nu(ladder, r_core(ladder))
+        nu = stationary_nu(ladder, r_core(ladder))
         assert nu == pytest.approx([1.0])
 
     def test_stationarity_residual(self, ladders):
         for ladder in ladders.values():
             core = r_core(ladder)
-            nu, _ = stationary_nu(ladder, core)
+            nu = stationary_nu(ladder, core)
             assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
 
     def test_matches_eigenvector(self, ladders):
         for ladder in ladders.values():
             core = r_core(ladder)
-            nu, _ = stationary_nu(ladder, core)
+            nu = stationary_nu(ladder, core)
             w, V = np.linalg.eig(core.T)
             lead = np.real(V[:, np.argmin(np.abs(w - 1.0))])
             lead = lead / lead.sum()
@@ -136,8 +136,25 @@ class TestStationaryLaw:
         for law in random_laws(5, seed=59, centered=True):
             ladder = ladder_laws(law)
             core = r_core(ladder)
-            nu, _ = stationary_nu(ladder, core)
+            nu = stationary_nu(ladder, core)
             assert float(np.sum(np.abs(nu @ core - nu))) < 1e-10
+
+    @pytest.mark.parametrize("eps, fails", [(1e-8, True), (4e-9, False)])
+    def test_tolerance_on_both_sides(self, eps, fails):
+        # nu = (0.6, 0.3, 0.1); moving eps of row 1 from column 1 to column 2
+        # leaves a total-variation residual of 2 * 0.6 * eps against the
+        # 1e-8 tolerance: 1.2e-8 fails, 4.8e-9 passes
+        law = law_from_masses({-3: 0.1, -2: 0.1, -1: 0.2, 0: 0.2, 1: 0.2, 2: 0.1, 3: 0.1})
+        ladder = ladder_laws(law)
+        core = r_core(ladder).copy()
+        assert stationary_nu(ladder, core) == pytest.approx([0.6, 0.3, 0.1], abs=1e-12)
+        core[0, 0] -= eps
+        core[0, 1] += eps
+        if fails:
+            with pytest.raises(StationarityFailure, match=r"residual 1\.2\d*e-08 \(tolerance 1\.0e-08\)"):
+                stationary_nu(ladder, core)
+        else:
+            assert stationary_nu(ladder, core) == pytest.approx([0.6, 0.3, 0.1], abs=1e-12)
 
 
 class TestDoeblin:
@@ -211,7 +228,7 @@ class TestExcursion:
                 assert err < 1e-3
 
     def test_dp_partial_sums_approach_from_below(self, law_a, ladders):
-        from reflectwalk import excursion_series
+        from reflectwalk.chain import excursion_series
 
         closed = e_value(ladders["a"], 0, 0)
         partial = float(excursion_series(law_a, 0, [0], 10_000)[0].sum())
