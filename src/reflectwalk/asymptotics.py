@@ -57,7 +57,7 @@ class AsymptoticLaw:
 def predict(asym: AsymptoticLaw, n: int) -> float:
     """Evaluate the predicted law at time n >= 1."""
     if n < 1:
-        raise ValueError("prediction needs n >= 1")
+        raise InvalidInput("prediction needs n >= 1")
     return asym.C * asym.rho**n * n ** (-asym.beta)
 
 
@@ -357,7 +357,7 @@ def tilting_identity_check(law: LatticeLaw, n: int) -> float:
     events (each path in with probability 1/2), drawn from TILTING_SEED.
     """
     if n > 8:
-        raise ValueError("exhaustive enumeration is capped at n = 8")
+        raise InvalidInput("exhaustive enumeration is capped at n = 8")
     info = minimize_mgf(law)
     tilted = tilt(law, info.r0)
     support = law.support()

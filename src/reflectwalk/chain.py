@@ -58,7 +58,7 @@ def step_row(law: LatticeLaw, x: int) -> StepRow:
     -y and reflecting), q(x, 0) = mu(-x).
     """
     if x < 0:
-        raise ValueError("states are nonnegative")
+        raise InvalidInput("states are nonnegative")
     entries = {}
     q0 = law.mass(-x)
     if q0 > 0:

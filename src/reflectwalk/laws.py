@@ -146,7 +146,7 @@ def mgf_derivative(law: LatticeLaw, r: float, order: int = 1) -> float:
             k * (k - 1) * m * r ** (k - 2)
             for k, m in zip(range(law.lo, law.hi + 1), law.masses)
         )
-    raise ValueError(f"unsupported derivative order {order}")
+    raise InvalidInput(f"unsupported derivative order {order}")
 
 
 def moments(law: LatticeLaw) -> tuple[float, float]:

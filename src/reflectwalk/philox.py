@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import InvalidInput
+
 MULT_0 = np.uint64(0xD2511F53)
 MULT_1 = np.uint64(0xCD9E8D57)
 WEYL_0 = np.uint64(0x9E3779B9)
@@ -62,7 +64,7 @@ def uniforms(seed: int, path_ids: np.ndarray, first_draw: int, count: int) -> np
     the draws with one index sit in one contiguous row.
     """
     if first_draw % 4 != 0:
-        raise ValueError("first_draw must be 4-aligned")
+        raise InvalidInput("first_draw must be 4-aligned")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
     k0, k1 = seed & 0xFFFFFFFF, seed >> 32
     path_ids = np.asarray(path_ids, dtype=np.uint64)

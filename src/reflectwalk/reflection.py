@@ -73,7 +73,7 @@ def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
     landing on -y (which reflects to y).
     """
     if x > ladder.depth:
-        raise ValueError(
+        raise InvalidInput(
             f"kernel row at x={x} needs potential depth >= {x}, have {ladder.depth}"
         )
     return _kernel_row(ladder.U_minus, ladder.mu_minus, x)

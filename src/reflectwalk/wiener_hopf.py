@@ -52,12 +52,6 @@ class FactorPair:
     phi_plus: np.ndarray
     residual: float
 
-    def phi_minus_at(self, z: complex) -> complex:
-        return sum(c * z ** -(w + 1) for w, c in enumerate(self.phi_minus))
-
-    def phi_plus_at(self, z: complex) -> complex:
-        return sum(d * z**j for j, d in enumerate(self.phi_plus))
-
 
 def _polyval(coeffs_low_first: list, z: complex) -> complex:
     """Horner's rule on Python complex numbers; coeffs_low_first is a list of
@@ -99,11 +93,54 @@ def _deflate_root_one(coeffs_low_first: np.ndarray) -> tuple[np.ndarray, float]:
     return np.array(quo[::-1]), acc + coeffs[0]
 
 
+def _polydiv(u: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.polydiv(u, v) for real coefficients, highest degree first: the same
+    operations in the same order, on Python floats. The remainder loses its
+    leading entries while abs(r[0]) <= 1e-8, which is np.polydiv's
+    allclose(r[0], 0, rtol=1e-14) test (false on NaN)."""
+    r, v = u.tolist(), v.tolist()
+    n = len(v) - 1
+    scale = 1.0 / v[0]
+    q = []
+    for k in range(len(r) - n):
+        d = scale * r[k]
+        q.append(d)
+        for i, c in enumerate(v):
+            r[k + i] -= d * c
+    start = 0
+    while start < len(r) - 1 and abs(r[start]) <= 1e-8:
+        start += 1
+    return np.array(q or [0.0]), np.array(r[start:])
+
+
+def _circle_gaps(law: LatticeLaw, s: float, phi_minus: np.ndarray, phi_plus: np.ndarray) -> list:
+    """|1 - s mgf(z) - (1 - phi-(z))(1 - phi+(z))| at the 64 points
+    z = exp(2 pi i k / 64), as numpy scalars.
+
+    Each factor is summed over its powers one after another, lowest power
+    first, by a reduce along the outer axis; np.power over the whole circle
+    rounds as the scalar z ** k does (`**` on an array would not: it turns
+    an exponent of -1 into np.reciprocal). The lhs and the product of the
+    two factors stay on scalars: numpy's complex-by-complex array loop may
+    fuse a multiply with an add.
+    """
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+
+    def one_minus(coeffs: np.ndarray, exps: np.ndarray) -> np.ndarray:
+        terms = coeffs[:, None] * np.power(circle, exps[:, None])
+        return 1.0 - np.add.reduce(terms, axis=0)
+
+    descent = one_minus(phi_minus, -np.arange(1, law.a + 1))
+    ascent = one_minus(phi_plus, np.arange(law.b + 1))
+    z_lo, masses = np.power(circle, law.lo), law.masses.tolist()
+    return [abs(1.0 - s * _polyval(masses, circle[k]) * z_lo[k] - descent[k] * ascent[k]) for k in range(64)]
+
+
 def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
     """Split 1 - s mgf(z) into ladder factors at a single real s in (0, 1]."""
     _require_centered(law)
     if not 0.0 < s <= 1.0:
-        raise ValueError(f"s must lie in (0, 1], got {s}")
+        raise InvalidInput(f"s must lie in (0, 1], got {s}")
     a, b = law.a, law.b
 
     # Q(z) = z^a (1 - s mgf(z)), coefficients of z^0 .. z^(a+b)
@@ -153,8 +190,8 @@ def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
     phi_minus = np.array([-A_high[w] for w in range(1, a + 1)])  # c_w = -[z^(a-w)] A
 
     # ascent factor by exact polynomial division B = Q / A
-    B_high, rem = np.polydiv(q[::-1], A_high)
-    division_residual = float(np.max(np.abs(rem))) if rem.size else 0.0
+    B_high, rem = _polydiv(q[::-1], A_high)
+    division_residual = float(np.max(np.abs(rem)))
     B_low = B_high[::-1]
     phi_plus = np.empty(b + 1)
     phi_plus[0] = 1.0 - B_low[0]
@@ -163,15 +200,8 @@ def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
     # tidy rounding fuzz on structurally zero masses, then sanity-check ranges
     phi_minus[np.abs(phi_minus) < 1e-13] = 0.0
     phi_plus[np.abs(phi_plus) < 1e-13] = 0.0
-    fp = FactorPair(s, phi_minus, phi_plus, 0.0)
-
-    circle_residual, masses = 0.0, law.masses.tolist()
-    for k in range(64):
-        z = np.exp(2j * np.pi * k / 64)
-        lhs = 1.0 - s * _polyval(masses, z) * z**law.lo
-        rhs = (1.0 - fp.phi_minus_at(z)) * (1.0 - fp.phi_plus_at(z))
-        circle_residual = max(circle_residual, abs(lhs - rhs))
-    residual = max(division_residual, circle_residual)
+    # builtin max skips a NaN gap, as the residual always has
+    residual = max(division_residual, 0.0, *_circle_gaps(law, s, phi_minus, phi_plus))
 
     phi_minus.flags.writeable = False
     phi_plus.flags.writeable = False
@@ -381,7 +411,7 @@ def roots_z_pm(law: LatticeLaw, s: float) -> tuple[float, float]:
     """Real solutions z- in (0,1) and z+ in (1,inf) of mgf(z) = 1/s."""
     _require_centered(law)
     if not 0.0 < s < 1.0:
-        raise ValueError(f"s must lie in (0, 1), got {s}")
+        raise InvalidInput(f"s must lie in (0, 1), got {s}")
     target = 1.0 / s
 
     def bisect(lo: float, hi: float) -> float:

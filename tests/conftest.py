@@ -192,6 +192,28 @@ def deflate_root_one_reference(coeffs_low_first: np.ndarray) -> tuple[np.ndarray
     return quo, rem
 
 
+def circle_gaps_reference(law: LatticeLaw, s: float, phi_minus: np.ndarray, phi_plus: np.ndarray) -> list:
+    """|1 - s mgf(z) - (1 - phi-(z))(1 - phi+(z))| at z = exp(2 pi i k / 64),
+    one point at a time: each factor sum()s its terms c * z ** k, lowest
+    power first, on numpy scalars."""
+    gaps = []
+    for k in range(64):
+        z = np.exp(2j * np.pi * k / 64)
+        lhs = 1.0 - s * polyval_reference(law.masses, z) * z**law.lo
+        minus = sum(c * z ** -(w + 1) for w, c in enumerate(phi_minus))
+        plus = sum(d * z**j for j, d in enumerate(phi_plus))
+        gaps.append(abs(lhs - (1.0 - minus) * (1.0 - plus)))
+    return gaps
+
+
+def circle_residual_reference(law: LatticeLaw, s: float, phi_minus: np.ndarray, phi_plus: np.ndarray):
+    """The largest of `circle_gaps_reference`, folded from 0.0 by max()."""
+    residual = 0.0
+    for gap in circle_gaps_reference(law, s, phi_minus, phi_plus):
+        residual = max(residual, gap)
+    return residual
+
+
 def potential_reference(taps: np.ndarray, depth: int, stay: float = 1.0, reverse: bool = False) -> np.ndarray:
     """u[0] = 1 / stay, u[k] = sum_j taps[j-1] u[k-j] / stay with sum() over
     numpy scalars, j = 1 first (or last, with `reverse`: a wrong order that

@@ -2,25 +2,33 @@
 must keep the bits of the term-by-term numpy-scalar reference in conftest.
 
 Laws up to a = b = 20 make the potentials add up to 20 terms per entry, so a
-change of summation order shows (the negative control checks that it does).
-Factor pairs at s < 1 and the ascent potential cover stay != 1.
+change of summation order shows (the negative controls check that it does).
+Factor pairs at s < 1 and the ascent potential cover stay != 1; validate's
+s = 0.99 and a law with a = 1 cover the circle residual's lhs at z^-1.
 """
+
+import operator
 
 import numpy as np
 import pytest
 
 from reflectwalk import build_reflection_core, factorize_at, ladder_laws, law_from_masses, minimize_mgf, slopes, tilt
+from reflectwalk import wiener_hopf
 from reflectwalk.reflection import _kernel_row, _renewal_sum, _stationary_weights
 from reflectwalk.wiener_hopf import (
     RICHARDSON_S,
+    _circle_gaps,
     _deflate_root_one,
     _polish_roots,
+    _polydiv,
     _polyval,
     _potential,
     default_depth,
     u_minus_at,
 )
 from conftest import (
+    circle_gaps_reference,
+    circle_residual_reference,
     deflate_root_one_reference,
     kernel_row_reference,
     polish_roots_reference,
@@ -31,7 +39,7 @@ from conftest import (
     stationary_weights_reference,
 )
 
-S_VALUES = (1.0, *RICHARDSON_S, 0.9, 0.5)
+S_VALUES = (1.0, *RICHARDSON_S, 0.99, 0.9, 0.5)
 
 
 def wide_law(a: int, b: int, seed: int):
@@ -44,7 +52,8 @@ def wide_law(a: int, b: int, seed: int):
 
 @pytest.fixture(scope="module")
 def laws():
-    return [wide_law(20, 20, 1), wide_law(12, 3, 2), wide_law(3, 12, 3), *random_laws(5, 15, True, width=20)]
+    wide = [wide_law(20, 20, 1), wide_law(12, 3, 2), wide_law(3, 12, 3), wide_law(1, 6, 4)]
+    return [*wide, *random_laws(5, 15, True, width=20)]
 
 
 @pytest.fixture(scope="module")
@@ -155,6 +164,76 @@ class TestFactorization:
                 want_quo, want_rem = deflate_root_one_reference(q)
                 assert same_bits(quo, want_quo) and same_bits(float(rem), float(want_rem))
                 q = quo
+
+    def test_circle_gaps(self, pairs):
+        for law, fp in pairs:
+            want = circle_gaps_reference(law, fp.s, fp.phi_minus, fp.phi_plus)
+            assert same_bits(_circle_gaps(law, fp.s, fp.phi_minus, fp.phi_plus), want), (law.a, law.b, fp.s)
+
+    def test_other_power_or_sum_order_is_told_apart(self, pairs):
+        # negative control: `**` in place of np.power, or each factor summed
+        # along the contiguous axis (pairwise), moves some per-point gap
+        for variant in ({}, {"power": operator.pow}, {"axis": 1}):
+            differs = 0
+            for law, fp in pairs:
+                want = circle_gaps_reference(law, fp.s, fp.phi_minus, fp.phi_plus)
+                differs += not same_bits(circle_gaps_variant(law, fp, **variant), want)
+            assert (differs > 0) == bool(variant), variant
+
+    def test_quotient_and_residual(self, pairs, monkeypatch):
+        divisions = []
+
+        def recorded(u, v):
+            divisions.append((u, v))
+            return _polydiv(u, v)
+
+        monkeypatch.setattr(wiener_hopf, "_polydiv", recorded)
+        for law, fp in pairs:
+            assert same_bits(factorize_at(law, fp.s).residual, fp.residual)
+            u, v = divisions[-1]
+            want_q, want_r = np.polydiv(u, v)
+            got_q, got_r = _polydiv(u, v)
+            assert same_bits(got_q, want_q) and same_bits(got_r, want_r), (law.a, law.b, fp.s)
+            circle = circle_residual_reference(law, fp.s, fp.phi_minus, fp.phi_plus)
+            assert same_bits(fp.residual, max(float(np.max(np.abs(want_r))), circle)), (law.a, law.b, fp.s)
+
+    def test_quotient_of_inexact_divisions(self, pairs):
+        cases = []
+        for law, fp in pairs:
+            u = (-fp.s * law.masses)[::-1].copy()
+            u[law.b] += 1.0
+            v = np.concatenate(([1.0], -fp.phi_minus))
+            cases += [(u, v), (u, 3.0 * v), (u, v + 1e-3), (u[:-2], v), (u[: law.a], v)]
+        # by z^3 the remainder is the last three entries exactly, so these
+        # leading entries sit on either side of the 1e-8 strip bound
+        leads = (0.0, 1e-12, 1e-8, -1e-8, np.nextafter(1e-8, 1.0), 1e-3, np.nan, np.inf)
+        for lead in leads:
+            for tail in ([1e-9, 0.5], [lead, 0.0], [0.0, 0.0]):
+                cases.append((np.array([2.0, -1.0, lead, *tail]), np.array([1.0, 0.0, 0.0, 0.0])))
+        cases += [(np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0])), (np.array([4.0]), np.array([2.0]))]
+        stopped_early = 0
+        for u, v in cases:
+            want_q, want_r = np.polydiv(u, v)
+            got_q, got_r = _polydiv(u, v)
+            assert same_bits(got_q, want_q) and same_bits(got_r, want_r), (u, v)
+            stopped_early += want_r.size > 1
+        assert stopped_early > 0
+
+
+def circle_gaps_variant(law, fp, power=np.power, axis=0):
+    """`_circle_gaps` written out again, with its power taken per exponent by
+    `power` and each factor reduced along `axis` of a (power, point) table
+    (axis=1 reduces a transposed, contiguous copy, which numpy sums pairwise)."""
+    circle = np.exp(2j * np.pi * np.arange(64) / 64)
+
+    def one_minus(coeffs, exps):
+        terms = coeffs[:, None] * np.array([power(circle, int(k)) for k in exps])
+        return 1.0 - np.add.reduce(terms if axis == 0 else np.ascontiguousarray(terms.T), axis=axis)
+
+    descent = one_minus(fp.phi_minus, range(-1, -law.a - 1, -1))
+    ascent = one_minus(fp.phi_plus, range(law.b + 1))
+    z_lo, masses = power(circle, law.lo), law.masses.tolist()
+    return [abs(1.0 - fp.s * _polyval(masses, circle[k]) * z_lo[k] - descent[k] * ascent[k]) for k in range(64)]
 
 
 def test_stationary_weights(systems):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,7 +6,9 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
+    LatticeLaw,
     NotCentered,
+    RootClusterUnresolved,
     SlopeMismatch,
     descent_joint_table,
     factorize_at,
@@ -14,6 +17,8 @@ from reflectwalk import (
     roots_z_pm,
     slopes,
 )
+from reflectwalk import wiener_hopf
+from reflectwalk.laws import moments
 from reflectwalk.wiener_hopf import SLOPE_REL_TOL, u_minus_at, u_plus_at
 from conftest import random_laws
 
@@ -63,6 +68,40 @@ class TestFactorization:
             factorize_at(law_a, 0.0)
         with pytest.raises(ValueError):
             factorize_at(law_a, 1.5)
+
+    @pytest.mark.parametrize("s", [1.0, 0.9])
+    def test_stray_imaginary_part_is_rejected(self, s, monkeypatch):
+        # uniform on [-3, 3] has a conjugate pair of roots inside the circle;
+        # moving one of the two by 1e-7 leaves ~1e-8 imaginary in A(z)
+        law = LatticeLaw(-3, 3, np.full(7, 1 / 7))
+        assert factorize_at(law, s).residual < 1e-10
+        polish = wiener_hopf._polish_roots
+
+        def nudged(coeffs, roots):
+            out = polish(coeffs, roots)
+            k = next(k for k, z in enumerate(out) if abs(z) < 1.0 and abs(z.imag) > 1e-3)
+            out[k] *= 1.0 - 1e-7
+            return out
+
+        monkeypatch.setattr(wiener_hopf, "_polish_roots", nudged)
+        with pytest.raises(RootClusterUnresolved, match="stray imaginary part"):
+            factorize_at(law, s)
+
+    def test_double_root_remainder_gate(self):
+        # a law inside both the mass-sum and the drift tolerance can still
+        # leave Q'(1) = a (1 - sum m) - drift just past 1e-9 at a = 5
+        masses = np.full(11, 1 / 11)
+        masses[5] += 1.0 - masses.sum() - 0.9e-12
+        drift, _ = moments(LatticeLaw(-5, 5, masses.copy()))
+        shift = (-0.999e-9 - drift) / 10
+        masses[0] -= shift
+        masses[-1] += shift
+        law = LatticeLaw(-5, 5, masses.copy())
+        with pytest.raises(RootClusterUnresolved, match="not structural"):
+            factorize_at(law, 1.0)
+        # the same drift on masses that sum to 1 passes the gate
+        masses[5] += 0.9e-12
+        assert factorize_at(LatticeLaw(-5, 5, masses), 1.0).residual < 1e-8
 
 
 class TestLadderLaws:
@@ -145,6 +184,15 @@ class TestSlopes:
         monkeypatch.setattr(asymptotics, "slopes", wrong_slopes)
         with pytest.raises(SlopeMismatch):
             asymptotics.centered_objects(law_asym)
+
+    @pytest.mark.parametrize("law_name", ["law_a", "law_p5", "law_asym"])
+    def test_sigma_off_by_two_per_mille_is_rejected(self, law_name, request):
+        # the closed forms scale with 1/sigma: 0.05% off passes the 1e-3 gate
+        law = request.getfixturevalue(law_name)
+        ladder = ladder_laws(law)
+        assert slopes(law, dataclasses.replace(ladder, sigma=1.0005 * ladder.sigma)).max_rel_err < SLOPE_REL_TOL
+        with pytest.raises(SlopeMismatch):
+            slopes(law, dataclasses.replace(ladder, sigma=1.002 * ladder.sigma))
 
     def test_richardson_helper_exact_on_sqrt(self):
         # fn(s) = 4 - 2.5 sqrt(1-s) + (1-s) has slope exactly -2.5

@@ -1,0 +1,84 @@
+"""Mutation check for the numerical gates and the bit-exact kernels.
+
+Each entry names a file, an exact text `old` that must occur in it exactly
+once, the text `new` that replaces it, and the reason the mutant should die.
+For each entry the repository (bench/ included, .git excluded) is copied to a
+temporary directory, the one edit is made there, and the tier-1 suite runs
+in the copy; the mutant is "killed" if the suite fails. The working tree is
+never edited.
+
+Usage (stdlib only; one tier-1 run per entry, stopped at the first failure):
+
+    python tools/mutants.py            # every entry
+    python tools/mutants.py 0 3        # entries 0 and 3
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WH = "src/reflectwalk/wiener_hopf.py"
+
+MUTANTS = [
+    (WH, "SLOPE_REL_TOL = 1e-3", "SLOPE_REL_TOL = 1e-1",
+     "a sigma 0.2% off must still fail the Richardson slope gate"),
+    (WH, "np.max(np.abs(A_high.imag)) > 1e-10", "np.max(np.abs(A_high.imag)) > 1e-4",
+     "an unpaired complex root inside the circle must be rejected"),
+    (WH, "max(abs(rem1), abs(rem2)) > 1e-9", "max(abs(rem1), abs(rem2)) > 1e-3",
+     "a non-structural double root at z = 1 must be rejected"),
+    (WH, "CIRCLE_TOL = 1e-8", "CIRCLE_TOL = 1e-4",
+     "roots within 1e-8 of the circle cannot be classified (x 1e4)"),
+    (WH, "np.power(circle, law.lo)", "circle ** law.lo",
+     "ndarray ** -1 is np.reciprocal, which rounds unlike the scalar z ** -1"),
+    (WH, "np.add.reduce(terms, axis=0)", "np.add.reduce(np.ascontiguousarray(terms.T), axis=1)",
+     "a reduce along the contiguous axis sums pairwise, not low power first"),
+]
+
+IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
+
+
+def check_entries(entries) -> None:
+    """Refuse any entry whose `old` does not occur exactly once."""
+    for path, old, _, _ in entries:
+        count = (ROOT / path).read_text().count(old)
+        if count != 1:
+            sys.exit(f"mutants: {old!r} occurs {count} times in {path}, expected exactly once")
+
+
+def run_one(path: str, old: str, new: str) -> tuple[bool, float, str]:
+    """Tier-1 on a mutated copy; returns (killed, seconds, last output line)."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        copy = Path(tmp) / "repo"
+        shutil.copytree(ROOT, copy, ignore=IGNORE)
+        target = copy / path
+        target.write_text(target.read_text().replace(old, new))
+        env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+        cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "--continue-on-collection-errors"]
+        start = time.perf_counter()
+        proc = subprocess.run(cmd, cwd=copy, env=env, capture_output=True, text=True)
+        lines = proc.stdout.strip().splitlines()
+        return proc.returncode != 0, time.perf_counter() - start, lines[-1] if lines else proc.stderr.strip()
+
+
+def main(argv: list[str]) -> int:
+    picked = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
+    check_entries(picked)
+    survived = 0
+    for path, old, new, reason in picked:
+        killed, seconds, last = run_one(path, old, new)
+        survived += not killed
+        print(f"{'killed  ' if killed else 'SURVIVED'} {path}: {old!r} -> {new!r} ({seconds:.0f} s; {last})")
+        print(f"         {reason}")
+    print(f"{len(picked) - survived} killed, {survived} survived")
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
