@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import n_step_series
-from .errors import InvalidInput, NegativeDriftUnsupported, NotCentered, ReflectWalkError, SlopeMismatch
+from .errors import InvalidInput, NegativeDriftUnsupported, NotCentered, ReflectWalkError
 from .laws import LatticeLaw, Regime, check_hypotheses, minimize_mgf, tilt
 from .reflection import (
     ReflectionCore,
@@ -31,7 +31,7 @@ from .reflection import (
     r_tilde_row,
     resolvent_apply,
 )
-from .wiener_hopf import SLOPE_REL_TOL, LadderSystem, SlopeTable, default_depth, ladder_laws, slopes
+from .wiener_hopf import LadderSystem, SlopeTable, _require_slopes, default_depth, ladder_laws, slopes
 
 SQRT_PI = math.sqrt(math.pi)
 # relative gap allowed between a closed-form constant and its DP extrapolation
@@ -84,11 +84,7 @@ def centered_objects(law: LatticeLaw, window: int = 0) -> CenteredObjects:
     ladder = ladder_laws(law, depth=default_depth(law, window))
     slope_table = slopes(law, ladder)
     core = build_reflection_core(ladder, slope_table)
-    if core.slope_rel_err > SLOPE_REL_TOL:
-        raise SlopeMismatch(
-            f"reflection slope rows deviate from the Richardson oracle "
-            f"by {core.slope_rel_err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
-        )
+    _require_slopes(core.slope_rel_err, "reflection slope rows")
     return CenteredObjects(ladder, slope_table, core)
 
 
@@ -145,19 +141,15 @@ def drifted_objects(
 ) -> DriftedObjects:
     """Conjugate the centering tilt's kernel and excursion data back to law.
 
-    objects, when given, are the centered objects of that tilt, built with a
-    window of at least max(x, y); their ladder, slopes and core rows are reused.
+    objects are the centered objects of that tilt, built with a window of at
+    least max(x, y); when none are given, `centered_objects` builds them, with
+    its checks. Their ladder, slopes and core rows are reused.
     """
     info = minimize_mgf(law)
     r0, rho0 = info.r0, info.rho0
-    rows, tilde_rows = {}, {}
     if objects is None:
-        tilted = tilt(law, r0)
-        ladder = ladder_laws(tilted, depth=default_depth(tilted, max(x, y)))
-        slope_table = slopes(tilted, ladder)
-    else:
-        ladder, slope_table = objects.ladder, objects.slope_table
-        rows, tilde_rows = objects.core.rows, objects.core.tilde_rows
+        objects = centered_objects(tilt(law, r0), window=max(x, y))
+    ladder, slope_table, rows = objects.ladder, objects.slope_table, objects.core.rows
 
     a = ladder.a
     states = list(range(1, a + 1))
@@ -166,7 +158,7 @@ def drifted_objects(
     def conj_rows(state: int) -> tuple[np.ndarray, np.ndarray]:
         # the conjugated kernel row of `state` and its conjugated slope row
         if state in rows:
-            row, tilde = rows[state], tilde_rows[state]
+            row, tilde = rows[state], objects.core.tilde_rows[state]
         else:
             row, tilde = r_row(ladder, state), r_tilde_row(ladder, slope_table, state)
         factors = np.array([r0 ** (state + w) for w in range(1, a + 1)])

@@ -20,6 +20,8 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    CENTERED_GAP_TOL,
+    DRIFTED_GAP_TOL,
     CenteredObjects,
     asymptotic_law,
     centered_objects,
@@ -47,7 +49,7 @@ from .reflection import (
     excursion_slope_oracle_error,
     r_row_at_s,
 )
-from .wiener_hopf import default_depth, ladder_laws, roots_z_pm, slopes
+from .wiener_hopf import SLOPE_REL_TOL, default_depth, ladder_laws, roots_z_pm, slopes
 
 
 class UsageError(Exception):
@@ -448,6 +450,11 @@ def _exact_gap(target: float, coeffs: np.ndarray) -> float:
     return math.fsum([target, *(-coeffs).tolist()])
 
 
+# validate's own gates; DRIFTED_GAP_TOL shares their value, not their meaning
+EIGEN_EXPANSION_TOL = 0.05
+EXCURSION_PARTIAL_TOL = 0.05
+
+
 def _cmd_validate(args, law) -> int:
     report = check_hypotheses(law)
     base, r0, tilted = _centered_base(law)
@@ -488,18 +495,18 @@ def _cmd_validate(args, law) -> int:
 
     try:
         table = slopes(base, ladder)
-        add("slope_convention_max_rel_err", table.max_rel_err, 1e-3)
+        add("slope_convention_max_rel_err", table.max_rel_err, SLOPE_REL_TOL)
         # the core checks its own slope rows; a large error is reported here
         core = build_reflection_core(ladder, table)
-        add("kernel_slope_oracle_rel_err", core.slope_rel_err, 1e-3)
+        add("kernel_slope_oracle_rel_err", core.slope_rel_err, SLOPE_REL_TOL)
         add(
             "excursion_slope_oracle_rel_err",
             excursion_slope_oracle_error(ladder, table, args.y, core.x_window),
-            1e-3,
+            SLOPE_REL_TOL,
         )
     except SlopeMismatch as exc:
         checks.append(
-            {"name": "slope_convention", "value": str(exc), "threshold": 1e-3, "pass": False}
+            {"name": "slope_convention", "value": str(exc), "threshold": SLOPE_REL_TOL, "pass": False}
         )
         _emit_json({"checks": checks, "passed": False})
         return 2
@@ -528,19 +535,19 @@ def _cmd_validate(args, law) -> int:
     add(
         "eigenvalue_expansion_rel_err",
         abs((1.0 - lam) / math.sqrt(eps) + nu_rt) / abs(nu_rt),
-        0.05,
+        EIGEN_EXPANSION_TOL,
     )
 
     # the tail of the excursion series decays like n^(-3/2), so the partial
     # sum at N sits ~ c/sqrt(N) below the closed form
     exc_gap = _exact_gap(e_value(ladder, 0, 0), stay[0][: 10_001])
     add("excursion_partial_below_closed", -exc_gap, 1e-12)
-    add("excursion_partial_gap", exc_gap, 0.05)
+    add("excursion_partial_gap", exc_gap, EXCURSION_PARTIAL_TOL)
 
     try:
         objects = CenteredObjects(ladder, table, core)
         rep = constant_report(law, 0, args.y, oracle_n=args.constant_n, objects=objects)
-        add("constant_vs_dp_rel_gap", rep["rel_gap"], 0.02 if not tilted else 0.05)
+        add("constant_vs_dp_rel_gap", rep["rel_gap"], DRIFTED_GAP_TOL if tilted else CENTERED_GAP_TOL)
     except InvalidInput:  # a bad --constant-n is an input error, not a failed check
         raise
     except ReflectWalkError as exc2:

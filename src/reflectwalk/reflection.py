@@ -17,17 +17,16 @@ from .errors import (
     InvalidInput,
     NotInvertibleCentered,
     SingularSystem,
-    SlopeMismatch,
     StationarityFailure,
 )
 from .laws import LatticeLaw
 from .wiener_hopf import (
-    SLOPE_REL_TOL,
     FactorPair,
     LadderSystem,
     SlopeTable,
+    _require_slopes,
+    _slope_gap,
     factorize_at,
-    richardson_slope,
     u_minus_at,
     u_plus_at,
 )
@@ -165,15 +164,13 @@ def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict
     descent potential is prefix-stable, so it is built once per s, up to the
     largest x, and serves every row of the s-weighted table.
     """
-    def table_at(s: float) -> np.ndarray:
-        fp = ladder.factor_pair(s)
+    def table(fp: FactorPair) -> np.ndarray:
         u = u_minus_at(fp, max(tilde_rows))
         return np.array([_kernel_row(u, fp.phi_minus, x) for x in tilde_rows])
 
     closed = np.array(list(tilde_rows.values()))
-    oracle = richardson_slope(table_at, np.array([rows[x] for x in tilde_rows]))
     scale = max(float(np.max(np.abs(closed))), 1.0)
-    return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6 * scale)))
+    return _slope_gap(ladder, closed, np.array([rows[x] for x in tilde_rows]), table, floor=1e-6 * scale)
 
 
 def r_tilde_rows(ladder: LadderSystem, slope_table: SlopeTable, xs) -> dict[int, np.ndarray]:
@@ -280,14 +277,11 @@ def _excursion_slope_gap(ladder: LadderSystem, y: int, xs: list, values: list, c
     """The error of `excursion_slope_oracle_error`, given E(x, y) and its
     closed-form slope for each x of xs."""
 
-    def column_at(s: float) -> np.ndarray:
-        fp = ladder.factor_pair(s)
+    def column(fp: FactorPair) -> np.ndarray:
         u_minus, u_plus = u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y)
         return np.array([_renewal_sum(u_minus, u_plus, x, y) for x in xs])
 
-    closed = np.array(closed)
-    oracle = richardson_slope(column_at, np.array(values))
-    return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6), initial=0.0))
+    return _slope_gap(ladder, np.array(closed), np.array(values), column)
 
 
 def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:
@@ -298,11 +292,7 @@ def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> Excur
     tilde = {x: e_tilde_value(ladder, slope_table, x, y) for x in xs}
     # the oracle reads the values and slopes built here
     err = _excursion_slope_gap(ladder, y, xs, list(values.values()), list(tilde.values()))
-    if err > SLOPE_REL_TOL:
-        raise SlopeMismatch(
-            f"excursion slopes at y={y} deviate from the Richardson "
-            f"oracle by {err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
-        )
+    _require_slopes(err, f"excursion slopes at y={y}")
     return ExcursionColumn(y, values, tilde)
 
 

@@ -155,7 +155,9 @@ def factorize_at(law: LatticeLaw, s: float) -> FactorPair:
         work, rem2 = _deflate_root_one(work)
         if max(abs(rem1), abs(rem2)) > 1e-9:
             raise RootClusterUnresolved(
-                f"double root at z=1 not structural (remainders {rem1}, {rem2})"
+                f"double root at z=1 not structural (remainders {rem1}, {rem2}); they are 1 - sum m and "
+                f"a (1 - sum m) - drift, set by the law: its masses sum to 1 - "
+                f"{1.0 - math.fsum(law.masses.tolist()):.3e} and its drift is {moments(law)[0]:.3e}"
             )
         structural_ones = 2
 
@@ -327,6 +329,22 @@ def richardson_slope(fn, value_at_1: float) -> float:
     return (g2 * t1 - g1 * t2) / (t1 - t2)
 
 
+def _slope_gap(ladder: LadderSystem, closed, at_1, at_pair, floor: float = 1e-6) -> float:
+    """Worst relative gap, 0.0 over no entries, between closed-form slopes and
+    the Richardson slope of at_pair(ladder.factor_pair(s)) from its values at_1
+    at s = 1. floor keeps structurally zero entries from amplifying fp noise."""
+    oracle = richardson_slope(lambda s: at_pair(ladder.factor_pair(s)), at_1)
+    return float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), floor), initial=0.0))
+
+
+def _require_slopes(err: float, what: str) -> None:
+    """The slope gate: SlopeMismatch when `what` miss the Richardson oracle by more than SLOPE_REL_TOL."""
+    if err > SLOPE_REL_TOL:
+        raise SlopeMismatch(
+            f"{what} deviate from the Richardson oracle by {err:.3e} (tolerance {SLOPE_REL_TOL:.1e})"
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class SlopeTable:
     """sqrt(1-s) coefficients of the ladder transforms at s = 1.
@@ -377,23 +395,15 @@ def slopes(law: LatticeLaw, ladder: LadderSystem) -> SlopeTable:
     # the oracle checks every T entry, and U^-, U^+ at 0..check_depth
     check_depth = min(depth, 2 * (a + b) + 2)
 
-    def at_s(s: float) -> np.ndarray:
-        fp = ladder.factor_pair(s)
+    def at_pair(fp: FactorPair) -> np.ndarray:
         potentials = u_minus_at(fp, check_depth), u_plus_at(fp, check_depth)
         return np.concatenate((fp.phi_minus, fp.phi_plus, *potentials))
 
     head = slice(0, check_depth + 1)
     closed = np.concatenate((slope_T_minus, slope_T_plus, slope_U_minus[head], slope_U_plus[head]))
     at_1 = np.concatenate((ladder.mu_minus, ladder.mu_plus, ladder.U_minus[head], ladder.U_plus[head]))
-    oracle = richardson_slope(at_s, at_1)
-    # floor keeps structurally-zero entries from amplifying fp noise
-    max_rel_err = float(np.max(np.abs(closed - oracle) / np.maximum(np.abs(closed), 1e-6)))
-    if max_rel_err > SLOPE_REL_TOL:
-        raise SlopeMismatch(
-            f"closed-form slopes deviate from the Richardson oracle by "
-            f"{max_rel_err:.3e} (tolerance {SLOPE_REL_TOL:.1e}); "
-            "an interval convention is off"
-        )
+    max_rel_err = _slope_gap(ladder, closed, at_1, at_pair)
+    _require_slopes(max_rel_err, "closed-form slopes")
 
     for arr in (slope_T_minus, slope_T_plus, slope_U_minus, slope_U_plus):
         arr.flags.writeable = False

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -267,3 +268,27 @@ class TestReports:
         )
         with pytest.raises(ReflectWalkError, match="disagree"):
             asym_mod.constant_report(law_a, 0, 0, oracle_n=500)
+
+    @pytest.mark.parametrize(
+        "law_name, x, y, inside, past",
+        [("law_a", 0, 1, 1.01, 1.03), ("law_b", 0, 0, 1.02, 1.08)],
+    )
+    def test_gap_gates_reject_a_scaled_constant(self, law_name, x, y, inside, past, request, monkeypatch):
+        # today's gaps are 3.3e-4 (lawA, y = 1) against the 2% centered gate and
+        # 5.2e-3 (lawB) against the 5% drifted one; the oracle is left as it is
+        import reflectwalk.asymptotics as asym_mod
+
+        law = request.getfixturevalue(law_name)
+        real = asym_mod.asymptotic_law
+
+        def report(factor):
+            def scaled(*args):
+                asym = real(*args)
+                return dataclasses.replace(asym, C=factor * asym.C)
+
+            monkeypatch.setattr(asym_mod, "asymptotic_law", scaled)
+            return asym_mod.constant_report(law, x, y)
+
+        assert report(inside)["rel_gap"] > 0.5 * (inside - 1.0)
+        with pytest.raises(ReflectWalkError, match="disagree"):
+            report(past)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import sys
@@ -10,6 +11,7 @@ from reflectwalk import (
     InvalidInput,
     NotInvertibleCentered,
     SingularSystem,
+    SlopeMismatch,
     StationarityFailure,
     build_reflection_core,
     dominant_eigenvalue,
@@ -24,7 +26,7 @@ from reflectwalk import (
     slopes,
     tilt,
 )
-from reflectwalk import reflection, wiener_hopf
+from reflectwalk import asymptotics, reflection, wiener_hopf
 from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
@@ -40,7 +42,7 @@ from reflectwalk.reflection import (
     resolvent_apply,
     stationary_nu,
 )
-from reflectwalk.wiener_hopf import richardson_slope, u_minus_at, u_plus_at
+from reflectwalk.wiener_hopf import SLOPE_REL_TOL, richardson_slope, u_minus_at, u_plus_at
 from conftest import e_value_at_s, random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -284,6 +286,13 @@ class TestEigenvalueAndResolvent:
         with pytest.raises(NotInvertibleCentered):
             resolvent_apply(r_core(ladders["p5"]), np.ones(2))
 
+    def test_resolvent_margin(self):
+        # the margin is 1e-12 below a spectral radius of 1: 1e-6 below still solves
+        g, _ = resolvent_apply([[1 - 1e-6]], [1.0])
+        assert g == pytest.approx([1e6])
+        with pytest.raises(NotInvertibleCentered):
+            resolvent_apply([[1 - 1e-13]], [1.0])
+
     def test_resolvent_rejects_ill_conditioned(self):
         core = np.array([[0.5, 1e7], [0.0, 0.5]])
         with pytest.raises(SingularSystem):
@@ -481,3 +490,54 @@ def test_constants_dump_factorizes_once_per_s(fixture, request, tmp_path, monkey
     # nothing outlives a main call: the second run factorizes just as often
     assert calls[len(first):] == first
     capsys.readouterr()
+
+
+def scaled_slopes(table, factor):
+    """The slope table with its T-minus, U-minus and U-plus slopes times factor:
+    every kernel and excursion slope moves by that factor, so each oracle gap
+    becomes about 1 - 1/factor."""
+    return dataclasses.replace(
+        table,
+        slope_T_minus=factor * table.slope_T_minus,
+        slope_U_minus=factor * table.slope_U_minus,
+        slope_U_plus=factor * table.slope_U_plus,
+    )
+
+
+class TestSlopeGateSites:
+    """Slopes 0.2% off fail the slope gate wherever it reads them; 0.05% off pass."""
+
+    @pytest.fixture(scope="class", params=["lawA", "random4"])
+    def system(self, request, law_a):
+        law = law_a if request.param == "lawA" else centered_random_law(4, 4, 5)
+        ladder = ladder_laws(law)
+        return law, ladder, slopes(law, ladder)
+
+    @pytest.mark.parametrize("factor", [1.0005, 1.002])
+    def test_gaps_land_on_their_side(self, system, factor):
+        _, ladder, table = system
+        table = scaled_slopes(table, factor)
+        kernel = build_reflection_core(ladder, table).slope_rel_err
+        excursion = excursion_slope_oracle_error(ladder, table, 1, range(1, ladder.a + 1))
+        for gap in (kernel, excursion):
+            assert gap == pytest.approx(1.0 - 1.0 / factor, rel=0.01)
+            assert (gap > SLOPE_REL_TOL) is (factor > 1.001)
+
+    @pytest.mark.parametrize("y", [0, 2])
+    def test_e_column(self, system, y):
+        _, ladder, table = system
+        xs = range(1, ladder.a + 1)
+        e_column(ladder, scaled_slopes(table, 1.0005), y, xs)
+        with pytest.raises(SlopeMismatch, match=f"excursion slopes at y={y} deviate from the Richardson oracle"):
+            e_column(ladder, scaled_slopes(table, 1.002), y, xs)
+
+    def test_centered_objects(self, system, monkeypatch):
+        law, _, _ = system
+
+        def build(factor):
+            monkeypatch.setattr(asymptotics, "slopes", lambda law, ladder: scaled_slopes(slopes(law, ladder), factor))
+            return asymptotics.centered_objects(law)
+
+        assert build(1.0005).core.slope_rel_err < SLOPE_REL_TOL
+        with pytest.raises(SlopeMismatch, match="reflection slope rows deviate from the Richardson oracle"):
+            build(1.002)

@@ -97,8 +97,12 @@ class TestFactorization:
         masses[0] -= shift
         masses[-1] += shift
         law = LatticeLaw(-5, 5, masses.copy())
-        with pytest.raises(RootClusterUnresolved, match="not structural"):
+        with pytest.raises(RootClusterUnresolved, match="not structural") as caught:
             factorize_at(law, 1.0)
+        # the message names the law's mass-sum deficit and drift, which set the remainders
+        deficit = 1.0 - math.fsum(law.masses.tolist())
+        assert deficit == pytest.approx(0.9e-12, rel=1e-3)
+        assert f"masses sum to 1 - {deficit:.3e} and its drift is {moments(law)[0]:.3e}" in str(caught.value)
         # the same drift on masses that sum to 1 passes the gate
         masses[5] += 0.9e-12
         assert factorize_at(LatticeLaw(-5, 5, masses), 1.0).residual < 1e-8

@@ -25,10 +25,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WH = "src/reflectwalk/wiener_hopf.py"
+REFL = "src/reflectwalk/reflection.py"
+ASYM = "src/reflectwalk/asymptotics.py"
 
 MUTANTS = [
     (WH, "SLOPE_REL_TOL = 1e-3", "SLOPE_REL_TOL = 1e-1",
      "a sigma 0.2% off must still fail the Richardson slope gate"),
+    (WH, "if err > SLOPE_REL_TOL:", "if err > 100 * SLOPE_REL_TOL:",
+     "the one slope gate: slopes 0.2% off must fail at every site that reads them"),
+    (ASYM, "CENTERED_GAP_TOL = 0.02", "CENTERED_GAP_TOL = 0.2",
+     "a centered constant 3% off its DP extrapolation must be rejected"),
+    (ASYM, "DRIFTED_GAP_TOL = 0.05", "DRIFTED_GAP_TOL = 0.5",
+     "a drifted constant 8% off its DP extrapolation must be rejected"),
+    (REFL, "lam >= 1.0 - 1e-12", "lam >= 1.0 - 1e-3",
+     "a core of spectral radius 1 - 1e-6 still has a resolvent"),
     (WH, "np.max(np.abs(A_high.imag)) > 1e-10", "np.max(np.abs(A_high.imag)) > 1e-4",
      "an unpaired complex root inside the circle must be rejected"),
     (WH, "max(abs(rem1), abs(rem2)) > 1e-9", "max(abs(rem1), abs(rem2)) > 1e-3",
