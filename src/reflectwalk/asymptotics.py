@@ -25,13 +25,12 @@ from .reflection import (
     build_reflection_core,
     dominant_eigenvalue,
     e_column,
-    e_value,
     e_tilde_value,
     r_row,
     r_tilde_row,
     resolvent_apply,
 )
-from .wiener_hopf import LadderSystem, SlopeTable, _require_slopes, default_depth, ladder_laws, slopes
+from .wiener_hopf import _require_slopes, default_depth, ladder_laws, slopes
 
 SQRT_PI = math.sqrt(math.pi)
 # relative gap allowed between a closed-form constant and its DP extrapolation
@@ -71,25 +70,20 @@ def _require_hypotheses(law: LatticeLaw):
     return report
 
 
-@dataclass(frozen=True, eq=False)
-class CenteredObjects:
-    """Shared centered machinery: ladder system, slopes, reflection core."""
-
-    ladder: LadderSystem
-    slope_table: SlopeTable
-    core: ReflectionCore
-
-
-def centered_objects(law: LatticeLaw, window: int = 0) -> CenteredObjects:
+def centered_objects(law: LatticeLaw, window: int = 0) -> ReflectionCore:
+    """The gated reflection core of a centered law, with the ladder system and
+    slope table it is built from, on potentials deep enough for targets up to
+    window. Raises SlopeMismatch if the slope table or the kernel slope rows
+    miss the Richardson oracle, and StationarityFailure if nu is not
+    stationary."""
     ladder = ladder_laws(law, depth=default_depth(law, window))
-    slope_table = slopes(law, ladder)
-    core = build_reflection_core(ladder, slope_table)
+    core = build_reflection_core(ladder, slopes(law, ladder))
     _require_slopes(core.slope_rel_err, "reflection slope rows")
-    return CenteredObjects(ladder, slope_table, core)
+    return core
 
 
 def centered_constant(
-    law: LatticeLaw, y: int, objects: CenteredObjects | None = None
+    law: LatticeLaw, y: int, objects: ReflectionCore | None = None
 ) -> AsymptoticLaw:
     """The constant of P_x[X_n = y] ~ C_y / sqrt(n) (independent of x)."""
     _require_states(y=y)
@@ -98,12 +92,11 @@ def centered_constant(
         raise NotCentered(f"centered constant needs drift 0, got {report.drift}")
     if objects is None:
         objects = centered_objects(law, window=y)
-    ladder, slope_table, core = objects.ladder, objects.slope_table, objects.core
 
-    a = ladder.a
-    column = e_column(ladder, slope_table, y, range(1, a + 1))
-    nu_e = math.fsum(core.nu[x - 1] * column.values[x] for x in range(1, a + 1))
-    nu_rt = core.nu_weighted_tilde_mass()
+    a = objects.a
+    column = e_column(objects.ladder, objects.slope_table, y, range(1, a + 1))
+    nu_e = math.fsum(objects.nu[x - 1] * column.values[x] for x in range(1, a + 1))
+    nu_rt = objects.nu_weighted_tilde_mass()
     if not nu_rt < 0:
         raise ReflectWalkError(
             f"nu-weighted kernel slope is {nu_rt}, expected strictly negative"
@@ -114,7 +107,7 @@ def centered_constant(
         1.0,
         0.5,
         c,
-        {"nu_E": nu_e, "nu_Rtilde_h": nu_rt, "nu": core.nu.tolist()},
+        {"nu_E": nu_e, "nu_Rtilde_h": nu_rt, "nu": objects.nu.tolist()},
     )
 
 
@@ -131,25 +124,27 @@ class DriftedObjects:
     row_x: np.ndarray  # conjugated kernel row at the boundary state
     row_x_tilde: np.ndarray
     e_core: np.ndarray  # conjugated excursion column at [1, a]
-    e_x: float
     e_tilde_core: np.ndarray
     e_tilde_x: float
 
 
 def drifted_objects(
-    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
+    law: LatticeLaw, x: int, y: int, objects: ReflectionCore | None = None
 ) -> DriftedObjects:
     """Conjugate the centering tilt's kernel and excursion data back to law.
 
-    objects are the centered objects of that tilt, built with a window of at
-    least max(x, y); when none are given, `centered_objects` builds them, with
-    its checks. Their ladder, slopes and core rows are reused.
+    objects is the reflection core of that tilt, built with a window of at
+    least max(x, y); when none is given, `centered_objects` builds it, with
+    its checks. Its ladder, slopes and rows are reused. The excursion column
+    on [1, a] passes the same slope gate as the centered constant's; the
+    boundary state x may lie past the Richardson oracle's reach, so its
+    slope is read directly.
     """
     info = minimize_mgf(law)
     r0, rho0 = info.r0, info.rho0
     if objects is None:
         objects = centered_objects(tilt(law, r0), window=max(x, y))
-    ladder, slope_table, rows = objects.ladder, objects.slope_table, objects.core.rows
+    ladder, slope_table, rows = objects.ladder, objects.slope_table, objects.rows
 
     a = ladder.a
     states = list(range(1, a + 1))
@@ -158,7 +153,7 @@ def drifted_objects(
     def conj_rows(state: int) -> tuple[np.ndarray, np.ndarray]:
         # the conjugated kernel row of `state` and its conjugated slope row
         if state in rows:
-            row, tilde = rows[state], objects.core.tilde_rows[state]
+            row, tilde = rows[state], objects.tilde_rows[state]
         else:
             row, tilde = r_row(ladder, state), r_tilde_row(ladder, slope_table, state)
         factors = np.array([r0 ** (state + w) for w in range(1, a + 1)])
@@ -169,27 +164,23 @@ def drifted_objects(
     core_tilde = np.array([tilde for _, tilde in pairs])
     row_x, row_x_tilde = conj_rows(x)
 
-    e_core = np.array(
-        [r0 ** (s - y) * e_value(ladder, s, y) for s in states]
-    )
-    e_x = r0 ** (x - y) * e_value(ladder, x, y)
-    e_tilde_core = np.array(
-        [scale * r0 ** (s - y) * e_tilde_value(ladder, slope_table, s, y) for s in states]
-    )
+    column = e_column(ladder, slope_table, y, states)
+    e_core = np.array([r0 ** (s - y) * column.values[s] for s in states])
+    e_tilde_core = np.array([scale * r0 ** (s - y) * column.tilde[s] for s in states])
     e_tilde_x = scale * r0 ** (x - y) * e_tilde_value(ladder, slope_table, x, y)
 
     return DriftedObjects(
         r0, rho0, x, y, core, core_tilde, row_x, row_x_tilde,
-        e_core, e_x, e_tilde_core, e_tilde_x,
+        e_core, e_tilde_core, e_tilde_x,
     )
 
 
 def drifted_constant(
-    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
+    law: LatticeLaw, x: int, y: int, objects: ReflectionCore | None = None
 ) -> AsymptoticLaw:
     """The constant of P_x[X_n = y] ~ C_{x,y} rho^n / n^(3/2) for drift > 0.
 
-    objects: centered objects of the law's centering tilt to reuse, built
+    objects: reflection core of the law's centering tilt to reuse, built
     with a window of at least max(x, y).
     """
     _require_states(x=x, y=y)
@@ -206,8 +197,8 @@ def drifted_constant(
     if radius >= 1.0:
         raise ReflectWalkError(f"conjugated core spectral radius {radius} >= 1")
 
-    # (I - R)^-1 E(., y), on the core and at the boundary state
-    v1_core, (v1_x,) = resolvent_apply(obj.core, obj.e_core, [(obj.e_x, obj.row_x)])
+    # (I - R)^-1 E(., y) on the core
+    v1_core, _ = resolvent_apply(obj.core, obj.e_core)
     # Rtilde (I - R)^-1 E(., y)
     w_core = obj.core_tilde @ v1_core
     w_x = float(obj.row_x_tilde @ v1_core)
@@ -242,11 +233,11 @@ def drifted_constant(
 
 
 def asymptotic_law(
-    law: LatticeLaw, x: int, y: int, objects: CenteredObjects | None = None
+    law: LatticeLaw, x: int, y: int, objects: ReflectionCore | None = None
 ) -> AsymptoticLaw:
     """Dispatch on the drift regime (x only matters in the drifted case).
 
-    objects: centered objects of the law, or of its centering tilt if it
+    objects: reflection core of the law, or of its centering tilt if it
     drifts, to reuse; built with a window of at least max(x, y).
     """
     _require_states(x=x, y=y)
@@ -305,7 +296,7 @@ def constant_report(
     x: int,
     y: int,
     oracle_n: int | None = None,
-    objects: CenteredObjects | None = None,
+    objects: ReflectionCore | None = None,
 ) -> dict:
     """Closed-form constant next to its DP-extrapolated counterpart.
 

@@ -22,7 +22,6 @@ from . import __version__
 from .asymptotics import (
     CENTERED_GAP_TOL,
     DRIFTED_GAP_TOL,
-    CenteredObjects,
     asymptotic_law,
     centered_objects,
     constant_report,
@@ -357,14 +356,14 @@ def _exact_blocks(rows):
 
 
 def _cmd_constants(args, law) -> int:
-    objects = None
+    core = None
     if args.dump_internals:
         # one build serves both the constant and the dump; deeper potentials
         # leave every entry the constant reads unchanged
         base, r0, tilted = _centered_base(law)
-        objects = centered_objects(base, window=max(args.x, args.y, 10))
+        core = centered_objects(base, window=max(args.x, args.y, 10))
     if args.no_oracle:
-        asym = asymptotic_law(law, args.x, args.y, objects)
+        asym = asymptotic_law(law, args.x, args.y, core)
         payload = {
             "regime": asym.regime.value,
             "rho": asym.rho,
@@ -374,10 +373,9 @@ def _cmd_constants(args, law) -> int:
             "rel_gap": None,
         }
     else:
-        payload = constant_report(law, args.x, args.y, oracle_n=args.oracle_n, objects=objects)
-    if objects is not None:
-        ladder, table, core = objects.ladder, objects.slope_table, objects.core
-        col = e_column(ladder, table, args.y, core.x_window)
+        payload = constant_report(law, args.x, args.y, oracle_n=args.oracle_n, objects=core)
+    if core is not None:
+        col = e_column(core.ladder, core.slope_table, args.y, core.x_window)
         payload["internals"] = {
             "tilted": tilted,
             "r0": r0,
@@ -545,8 +543,7 @@ def _cmd_validate(args, law) -> int:
     add("excursion_partial_gap", exc_gap, EXCURSION_PARTIAL_TOL)
 
     try:
-        objects = CenteredObjects(ladder, table, core)
-        rep = constant_report(law, 0, args.y, oracle_n=args.constant_n, objects=objects)
+        rep = constant_report(law, 0, args.y, oracle_n=args.constant_n, objects=core)
         add("constant_vs_dp_rel_gap", rep["rel_gap"], DRIFTED_GAP_TOL if tilted else CENTERED_GAP_TOL)
     except InvalidInput:  # a bad --constant-n is an input error, not a failed check
         raise

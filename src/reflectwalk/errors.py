@@ -38,7 +38,7 @@ class SlopeMismatch(ReflectWalkError):
 
 
 class StationarityFailure(ReflectWalkError):
-    """No bracket convention yields a stationary measure for the reflection kernel."""
+    """The closed-form stationary weights are not stationary for the reflection kernel."""
 
 
 class SingularSystem(ReflectWalkError):

@@ -116,9 +116,9 @@ def stationary_nu(ladder: LadderSystem, core: np.ndarray) -> np.ndarray:
     """Stationary probability of the reflection-target chain on [1, a].
 
     Evaluates the closed-form stationary weights and checks them against
-    `core`, the kernel's a x a block as `r_core` builds it. Raises
-    StationarityFailure if nu core - nu exceeds STATIONARY_TOL in total
-    variation.
+    `core`, the kernel's a x a block that `build_reflection_core` hands
+    over. Raises StationarityFailure if nu core - nu exceeds STATIONARY_TOL
+    in total variation.
     """
     nu = _stationary_weights(ladder.mu_minus)
     residual = float(np.sum(np.abs(nu @ core - nu)))
@@ -182,13 +182,15 @@ def r_tilde_rows(ladder: LadderSystem, slope_table: SlopeTable, xs) -> dict[int,
 class ReflectionCore:
     """Reflection kernel data on a window of starting states.
 
-    rows/tilde_rows map x to the kernel row (R(x, y))_{y=1..a} and its
-    sqrt(1-s) slope; core is the a x a block on [1, a]; nu the stationary
-    probability of the target chain; kappa the Doeblin constant;
-    slope_rel_err the kernel slope oracle's error on tilde_rows.
+    ladder and slope_table are what the core is built from; rows/tilde_rows
+    map x to the kernel row (R(x, y))_{y=1..a} and its sqrt(1-s) slope; core
+    is the a x a block on [1, a]; nu the stationary probability of the target
+    chain; kappa the Doeblin constant; slope_rel_err the kernel slope
+    oracle's error on tilde_rows.
     """
 
     ladder: LadderSystem
+    slope_table: SlopeTable
     x_window: tuple
     rows: dict
     core: np.ndarray
@@ -225,7 +227,7 @@ def build_reflection_core(ladder: LadderSystem, slope_table: SlopeTable) -> Refl
     tilde = r_tilde_rows(ladder, slope_table, xs)
     err = kernel_slope_oracle_error(ladder, rows, tilde)
     core.flags.writeable = False
-    return ReflectionCore(ladder, tuple(xs), rows, core, nu, kappa, tilde, err)
+    return ReflectionCore(ladder, slope_table, tuple(xs), rows, core, nu, kappa, tilde, err)
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,6 +237,7 @@ class ExcursionColumn:
     y: int
     values: dict  # x -> E(x, y)
     tilde: dict  # x -> slope of E_s(x, y)
+    slope_rel_err: float  # the excursion slope oracle's error on tilde
 
 
 def _require_states(**states: int):
@@ -257,43 +260,40 @@ def e_tilde_value(ladder: LadderSystem, slope_table: SlopeTable, x: int, y: int)
     return renewal + _renewal_sum(ladder.U_minus, slope_table.slope_U_plus, x, y)
 
 
-def excursion_slope_oracle_error(
-    ladder: LadderSystem, slope_table: SlopeTable, y: int, xs
-) -> float:
-    """Worst relative gap between closed-form excursion slopes and the
-    Richardson slope of the s-weighted excursion values.
+def _excursion(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:
+    """Excursion values and closed-form slopes for one arrival state, each
+    built once per distinct x, with the worst relative gap between the slopes
+    and the Richardson slope of the s-weighted values.
 
     The s-weighted potentials are prefix-stable, so each is built once per s
     (the descent one up to max(xs), the ascent one up to y) and serves every x.
     """
-    xs = [int(x) for x in xs]
+    xs = list(dict.fromkeys(int(x) for x in xs))
     _require_states(y=y, x=min(xs, default=0))
-    values = [e_value(ladder, x, y) for x in xs]
-    closed = [e_tilde_value(ladder, slope_table, x, y) for x in xs]
-    return _excursion_slope_gap(ladder, y, xs, values, closed)
-
-
-def _excursion_slope_gap(ladder: LadderSystem, y: int, xs: list, values: list, closed: list) -> float:
-    """The error of `excursion_slope_oracle_error`, given E(x, y) and its
-    closed-form slope for each x of xs."""
+    values = {x: e_value(ladder, x, y) for x in xs}
+    tilde = {x: e_tilde_value(ladder, slope_table, x, y) for x in xs}
 
     def column(fp: FactorPair) -> np.ndarray:
         u_minus, u_plus = u_minus_at(fp, max(xs, default=0)), u_plus_at(fp, y)
         return np.array([_renewal_sum(u_minus, u_plus, x, y) for x in xs])
 
-    return _slope_gap(ladder, np.array(closed), np.array(values), column)
+    err = _slope_gap(ladder, np.array(list(tilde.values())), np.array(list(values.values())), column)
+    return ExcursionColumn(y, values, tilde, err)
+
+
+def excursion_slope_oracle_error(
+    ladder: LadderSystem, slope_table: SlopeTable, y: int, xs
+) -> float:
+    """Worst relative gap between closed-form excursion slopes and the
+    Richardson slope of the s-weighted excursion values."""
+    return _excursion(ladder, slope_table, y, xs).slope_rel_err
 
 
 def e_column(ladder: LadderSystem, slope_table: SlopeTable, y: int, xs) -> ExcursionColumn:
     """Excursion values and slopes for one arrival state, Richardson-checked."""
-    xs = list(dict.fromkeys(int(x) for x in xs))
-    _require_states(y=y, x=min(xs, default=0))
-    values = {x: e_value(ladder, x, y) for x in xs}
-    tilde = {x: e_tilde_value(ladder, slope_table, x, y) for x in xs}
-    # the oracle reads the values and slopes built here
-    err = _excursion_slope_gap(ladder, y, xs, list(values.values()), list(tilde.values()))
-    _require_slopes(err, f"excursion slopes at y={y}")
-    return ExcursionColumn(y, values, tilde)
+    col = _excursion(ladder, slope_table, y, xs)
+    _require_slopes(col.slope_rel_err, f"excursion slopes at y={y}")
+    return col
 
 
 def dominant_eigenvalue(core: np.ndarray) -> float:

@@ -538,6 +538,31 @@ class TestSlopeGateSites:
             monkeypatch.setattr(asymptotics, "slopes", lambda law, ladder: scaled_slopes(slopes(law, ladder), factor))
             return asymptotics.centered_objects(law)
 
-        assert build(1.0005).core.slope_rel_err < SLOPE_REL_TOL
+        assert build(1.0005).slope_rel_err < SLOPE_REL_TOL
         with pytest.raises(SlopeMismatch, match="reflection slope rows deviate from the Richardson oracle"):
             build(1.002)
+
+    @pytest.mark.parametrize("y", [0, 2])
+    def test_e_column_shares_the_oracle(self, system, y):
+        # repeated and unordered starts: the column keeps each x once, and
+        # its error is the oracle's, bit for bit
+        _, ladder, table = system
+        xs = [ladder.a, 0, 2 * ladder.a + 1, 1, ladder.a, 0]
+        assert excursion_slope_oracle_error(ladder, table, y, xs) == e_column(ladder, table, y, xs).slope_rel_err
+
+    @pytest.mark.parametrize("drifted", ["lawB", "random4"])
+    def test_drifted_constant(self, drifted, law_b):
+        # a core passed in skips centered_objects' kernel gate; the excursion
+        # column on [1, a] still meets the excursion gate
+        law = law_b if drifted == "lawB" else tilt(centered_random_law(4, 4, 5), 1.3)
+        tilted = tilt(law, minimize_mgf(law).r0)
+        ladder = ladder_laws(tilted)
+        table = slopes(tilted, ladder)
+
+        def constant(factor):
+            core = build_reflection_core(ladder, scaled_slopes(table, factor))
+            return asymptotics.drifted_constant(law, 0, 0, objects=core)
+
+        assert constant(1.0005).C > 0
+        with pytest.raises(SlopeMismatch, match="excursion slopes at y=0 deviate from the Richardson oracle"):
+            constant(1.002)

@@ -27,6 +27,9 @@ ROOT = Path(__file__).resolve().parent.parent
 WH = "src/reflectwalk/wiener_hopf.py"
 REFL = "src/reflectwalk/reflection.py"
 ASYM = "src/reflectwalk/asymptotics.py"
+LAWS = "src/reflectwalk/laws.py"
+CHAIN = "src/reflectwalk/chain.py"
+MC = "src/reflectwalk/montecarlo.py"
 
 MUTANTS = [
     (WH, "SLOPE_REL_TOL = 1e-3", "SLOPE_REL_TOL = 1e-1",
@@ -49,6 +52,19 @@ MUTANTS = [
      "ndarray ** -1 is np.reciprocal, which rounds unlike the scalar z ** -1"),
     (WH, "np.add.reduce(terms, axis=0)", "np.add.reduce(np.ascontiguousarray(terms.T), axis=1)",
      "a reduce along the contiguous axis sums pairwise, not low power first"),
+    (ASYM, "column = e_column(ladder, slope_table, y, states)",
+     'column = e_column.__globals__["_excursion"](ladder, slope_table, y, states)',
+     "a drifted constant must pass the excursion gate even when a core is passed in"),
+    (REFL, "STATIONARY_TOL = 1e-8", "STATIONARY_TOL = 1e-4",
+     "weights 1.2e-8 off stationarity in total variation must be rejected"),
+    (LAWS, "MASS_SUM_TOL = 1e-12", "MASS_SUM_TOL = 1e-6",
+     "masses summing to 1 + 1e-10 must be rejected"),
+    (MC, "PATH_STEPS_CAP = 1_000_000_000", "PATH_STEPS_CAP = 10_000_000_000",
+     "the Monte Carlo work cap is the README's 10^9 path-steps"),
+    (REFL, "EIGEN_TOL = 1e-13", "EIGEN_TOL = 1e-8",
+     "power iteration must settle within 1e-12 of the eigenvalue, not stop early"),
+    (CHAIN, "MEMORY_CAP_FLOATS = 50_000_000", "MEMORY_CAP_FLOATS = 500_000_000",
+     "the DP table cap is the README's 5*10^7 floats"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
