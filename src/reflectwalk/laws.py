@@ -48,6 +48,9 @@ class LatticeLaw:
                 f"expected {self.hi - self.lo + 1} masses for window "
                 f"[{self.lo}, {self.hi}], got {masses.shape[0]}"
             )
+        if not np.all(np.isfinite(masses)):  # NaN passes both the sign and the sum check
+            k = self.lo + int(np.argmin(np.isfinite(masses)))
+            raise InvalidLaw(f"non-finite mass at k={k}")
         if np.any(masses < 0):
             k = self.lo + int(np.argmin(masses))
             raise InvalidLaw(f"negative mass at k={k}")

@@ -2,7 +2,7 @@
 
 Path i draws its increments from the Philox substream keyed by (seed, i), so
 results are bit-reproducible for a fixed config no matter how paths are
-partitioned into blocks or threads, or draws into chunks. Aggregation is
+partitioned into blocks, tiles or threads, or draws into chunks. Aggregation is
 plain counting. Draw j of a path depends only on (seed, path, j), so the
 first n steps of a run to horizon N are a run to horizon n: one pass records
 the terminal counts of every checkpoint horizon.
@@ -19,13 +19,16 @@ import numpy as np
 from .chain import MEMORY_CAP_FLOATS, STREAMING_N_MAX_CAP
 from .errors import HorizonTooLarge, InvalidSimConfig, NoReflectionsObserved
 from .laws import LatticeLaw
-from .philox import uniforms
+from .philox import _TILE_INVOCATIONS, uniforms
 
 THREADS_ENV = "REFLECTWALK_THREADS"
 _BLOCK_PATHS = 16_384
-# Draws per path per Philox call; must stay 4-aligned for the substream layout.
-# 64 keeps a block's Philox temporaries and increments in cache.
+# Steps per chunk; must stay 4-aligned for the substream layout. A block holds
+# two int32 rows of its paths per step: the increments and the raw positions.
 _CHUNK_DRAWS = 64
+# Paths per draw tile, so that one uniforms call of a full chunk is one Philox
+# tile. A tile's draws, buckets and increments (2.5 MB) are reused per tile.
+_TILE_PATHS = _TILE_INVOCATIONS * 4 // _CHUNK_DRAWS
 
 # Caps on a config. States are held as int32, which STATE_CAP keeps safe.
 PATH_STEPS_CAP = 1_000_000_000  # paths * horizon
@@ -140,9 +143,12 @@ class _IncrementMap:
         self.table = np.where(first == last, first + law.lo, _MIXED).astype(np.int32)
 
     def __call__(self, u: np.ndarray, bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Writes the increments of draws u, shape (paths, steps), into the int32
-        array out, step-major: shape (steps, paths). bucket is intp scratch of
-        the same shape; a block reuses both, which keeps them in cache."""
+        """Returns the increments of draws u, shape (paths, steps), step-major:
+        shape (steps, paths), in the first u.size entries of the flat int32
+        scratch out. bucket is flat intp scratch at least as long; a block
+        reuses both for each of its path tiles."""
+        out = out[: u.size].reshape(u.shape[::-1])
+        bucket = bucket[: u.size].reshape(out.shape)
         np.multiply(u.T, 2.0**_GUIDE_BITS, out=bucket, casting="unsafe")
         self.table.take(bucket, out=out, mode="clip")
         mixed = np.flatnonzero(out == _MIXED)
@@ -157,16 +163,23 @@ def _walk(config: SimConfig, increments: _IncrementMap, lo: int, hi: int, observ
     After each chunk of steps t+1 .. t+m, calls observe(t, raw), where raw[j]
     holds X_{t+j} + Y_{t+j+1} for every path, the position before the fold:
     X_{t+j+1} = |raw[j]|, and raw[j] < 0 marks a reflection at step t+j+1.
+    A chunk's increments are drawn one path tile at a time into tile-sized
+    scratch, then copied into its rows of inc.
     """
     n = config.horizon
+    paths = hi - lo
     ids = np.arange(lo, hi, dtype=np.uint64)
-    states = np.full(hi - lo, config.start, dtype=np.int32)
-    shape = (min(_CHUNK_DRAWS, (n + 3) // 4 * 4), hi - lo)
-    raw, inc, bucket = np.empty(shape, np.int32), np.empty(shape, np.int32), np.empty(shape, np.intp)
+    states = np.full(paths, config.start, dtype=np.int32)
+    shape = (min(_CHUNK_DRAWS, (n + 3) // 4 * 4), paths)
+    raw, inc = np.empty(shape, np.int32), np.empty(shape, np.int32)
+    tile = min(_TILE_PATHS, paths)
+    bucket, scratch = np.empty(shape[0] * tile, np.intp), np.empty(shape[0] * tile, np.int32)
     for t in range(0, n, _CHUNK_DRAWS):
         m = min(_CHUNK_DRAWS, n - t)
         draws = (m + 3) // 4 * 4
-        increments(uniforms(config.seed, ids, t, draws), bucket[:draws], inc[:draws])
+        for p in range(0, paths, tile):
+            q = min(p + tile, paths)
+            inc[:draws, p:q] = increments(uniforms(config.seed, ids[p:q], t, draws), bucket, scratch)
         for j in range(m):
             np.add(states, inc[j], out=raw[j])
             np.abs(raw[j], out=states)

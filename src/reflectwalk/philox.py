@@ -20,7 +20,7 @@ WEYL_1 = np.uint64(0xBB67AE85)
 MASK32 = np.uint64(0xFFFFFFFF)
 SHIFT32 = np.uint64(32)
 ROUNDS = 10
-_TILE_INVOCATIONS = 32_768  # 256 KiB per uint64 lane array
+_TILE_INVOCATIONS = 32_768  # invocations per pass of the rounds: 256 KiB per uint64 lane array
 
 _INV_2_32 = float(2.0**-32)
 
@@ -72,7 +72,7 @@ def uniforms(seed: int, path_ids: np.ndarray, first_draw: int, count: int) -> np
     blocks = (count + 3) // 4
     c0 = (np.uint64(first_draw // 4) + np.arange(blocks, dtype=np.uint64))[:, None]
     out = np.empty((blocks, 4, paths), dtype=np.float64)
-    # path tiles small enough that the round temporaries stay in cache
+    # path tiles of at most _TILE_INVOCATIONS invocations bound the round temporaries
     tile = max(1, _TILE_INVOCATIONS // max(blocks, 1))
     for lo in range(0, paths, tile):
         ids = path_ids[None, lo : lo + tile]

@@ -196,6 +196,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "bad.json" in err and '"x"' in err
 
+    @pytest.mark.parametrize(
+        "argv", [["analyze"], ["exact", "--start", "0", "--n", "2"], ["ladder"], ["constants", "--y", "0"]]
+    )
+    def test_nan_mass_is_a_law_file_error(self, tmp_path, capsys, argv):
+        # Python's json reads NaN; such a law once printed "drift": NaN with exit 0
+        law = tmp_path / "nan.json"
+        law.write_text('{"masses": {"-1": NaN, "0": 0.5, "1": 0.5}}')
+        code, out, err = run([argv[0], "--law", str(law), *argv[1:]], capsys)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and "law file error" in err and "non-finite mass at k=-1" in err
+
     def test_validate_success_is_zero(self, capsys):
         assert main(["validate", "--law", LAW_A, "--oracle-n", "4000"]) == 0
 

@@ -23,6 +23,11 @@ class TestConstruction:
         with pytest.raises(InvalidLaw, match="negative"):
             law_from_masses({-1: -0.1, 0: 0.6, 1: 0.5})
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_mass(self, bad):
+        with pytest.raises(InvalidLaw, match="non-finite mass at k=0"):
+            law_from_masses({-1: 0.5, 0: bad, 1: 0.5})
+
     def test_rejects_bad_sum(self):
         # the masses must sum to 1 within 1e-12
         for masses in ({-1: 0.5, 1: 0.6}, {-1: 0.5, 1: 0.5 + 1e-10}):

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -28,11 +29,13 @@ from reflectwalk.chain import DEFAULT_N_MAX_CAP, MEMORY_CAP_FLOATS, STREAMING_N_
 from reflectwalk.philox import uniforms
 
 
-def reference_walk(config, burnin=0):
+def reference_walk(config, burnin=0, checkpoints=()):
     """The stream contract stepped one draw at a time: inverse CDF by
-    searchsorted, then X <- |X + Y|. Returns the SimResult arrays and the
-    pooled landing counts past `burnin` reflections per path."""
+    searchsorted, then X <- |X + Y|. Returns the SimResult arrays, the
+    terminal counts at each checkpoint and the pooled landing counts past
+    `burnin` reflections per path."""
     law, n = config.law, config.horizon
+    counts = lambda states: np.bincount(states, minlength=max(int(states.max()), law.a) + 1)
     u = uniforms(config.seed, np.arange(config.paths), 0, (n + 3) // 4 * 4)
     inc = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
     states = np.full(config.paths, config.start, dtype=np.int64)
@@ -41,6 +44,7 @@ def reference_walk(config, burnin=0):
     seen = np.zeros(config.paths, dtype=np.int64)
     targets = np.zeros(law.a, dtype=np.int64)
     kept = np.zeros(law.a, dtype=np.int64)
+    at = {0: counts(states)} if 0 in checkpoints else {}
     for j in range(n):
         raw = states + inc[:, j]
         reflected = raw < 0
@@ -51,12 +55,15 @@ def reference_walk(config, burnin=0):
         first_target[newly] = states[newly]
         seen += reflected
         kept += np.bincount(states[reflected & (seen > burnin)] - 1, minlength=law.a)
+        if j + 1 in checkpoints:
+            at[j + 1] = counts(states)
     ft = first_target[first_target > 0]
     return {
-        "terminal": np.bincount(states, minlength=max(int(states.max()), law.a) + 1),
+        "terminal": counts(states),
         "first_reflection_time": np.bincount(first_time, minlength=n + 1),
         "first_reflection_target": np.bincount(ft - 1, minlength=law.a),
         "reflection_target": targets,
+        "terminal_at": at,
         "kept": kept,
     }
 
@@ -134,6 +141,42 @@ class TestSimulate:
             assert np.array_equal(getattr(result, name), reference[name]), name
         nu = estimate_nu(config, burnin=3)
         assert [nu[w].count for w in (1, 2)] == reference["kept"].tolist()
+
+    @pytest.mark.parametrize("tile", [1, 7, None, 5000], ids=["1", "7", "default", "5000"])
+    def test_tile_width_does_not_change_results(self, law_p5, monkeypatch, tile):
+        # 1,201 paths in blocks of at most 600: three blocks of 400 paths at one
+        # thread, four of 300 at two; tiles of 7 leave a short last tile
+        monkeypatch.setattr(montecarlo, "_BLOCK_PATHS", 600)
+        if tile is not None:
+            monkeypatch.setattr(montecarlo, "_TILE_PATHS", tile)
+        config = SimConfig(law_p5, 1, 70, 1201, 17)
+        checkpoints = [0, 5, 64, 70]
+        reference = reference_walk(config, burnin=3, checkpoints=checkpoints)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REFLECTWALK_THREADS", threads)
+            result = simulate(config, checkpoints=checkpoints)
+            for name in RESULT_FIELDS:
+                assert np.array_equal(getattr(result, name), reference[name]), name
+            for n in checkpoints:
+                assert np.array_equal(result.terminal_at[n], reference["terminal_at"][n]), n
+            nu = estimate_nu(config, burnin=3)
+            assert [nu[w].count for w in (1, 2)] == reference["kept"].tolist()
+
+    def test_simulate_memory_is_one_block_and_one_tile(self, law_b, monkeypatch):
+        """At one thread a run holds one block at a time: its states and its
+        int32 increment and position rows (8 MB at 16,384 paths and 64 steps),
+        plus tile-sized draws, buckets and Philox lanes and the counting
+        temporaries of a chunk (about 4.5 MB). The bound leaves 25% headroom;
+        block-wide draws and buckets would add 12 MB."""
+        monkeypatch.setenv("REFLECTWALK_THREADS", "1")
+        simulate(SimConfig(law_b, 0, 4, 10, 1))  # the pool's first-use imports
+        tracemalloc.start()
+        try:
+            simulate(SimConfig(law_b, 0, 128, 32_768, 3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_path_blocks_are_balanced(self):
         cap = montecarlo._BLOCK_PATHS
@@ -259,8 +302,7 @@ CLUSTERED = law_from_masses({-2: 0.3, -1: 1e-9, 0: 2e-9, 1: 3e-9, 2: 0.7 - 6e-9}
 def test_guide_table_matches_searchsorted(case):
     law, u = case
     expected = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
-    shape = u.shape[::-1]
-    got = montecarlo._IncrementMap(law)(u, np.empty(shape, np.intp), np.empty(shape, np.int32))
+    got = montecarlo._IncrementMap(law)(u, np.empty(u.size, np.intp), np.empty(u.size + 5, np.int32))
     assert np.array_equal(got, expected.T)
 
 
@@ -321,6 +363,19 @@ class TestEstimateNu:
         b = estimate_nu(config, burnin=100)
         for w in (1, 2):
             assert abs(a[w].point - b[w].point) < 3 * max(a[w].stderr, b[w].stderr)
+
+    def test_many_blocks_match_reference(self, law_p5, monkeypatch):
+        # five blocks of 90 paths at one thread, six of 75 at two
+        config = SimConfig(law_p5, 0, 300, 450, 8)
+        whole = estimate_nu(config, burnin=2)
+        monkeypatch.setattr(montecarlo, "_BLOCK_PATHS", 100)
+        assert len(montecarlo._path_blocks(config.paths, 1)) == 5
+        reference = reference_walk(config, burnin=2)
+        for threads in ("1", "2"):
+            monkeypatch.setenv("REFLECTWALK_THREADS", threads)
+            est = estimate_nu(config, burnin=2)
+            assert [est[w].count for w in (1, 2)] == reference["kept"].tolist()
+            assert est == whole
 
     def test_no_reflections_raises(self, law_b):
         # positive drift from far out: no reflection in a short horizon

@@ -65,6 +65,10 @@ MUTANTS = [
      "power iteration must settle within 1e-12 of the eigenvalue, not stop early"),
     (CHAIN, "MEMORY_CAP_FLOATS = 50_000_000", "MEMORY_CAP_FLOATS = 500_000_000",
      "the DP table cap is the README's 5*10^7 floats"),
+    (MC, "counts = np.zeros((hi - lo) * a, dtype=np.int64)", "counts = np.zeros((hi + lo) * a, dtype=np.int64)",
+     "estimate_nu over several path blocks: each block's landing table has one row per path of the block"),
+    (MC, "q = min(p + tile, paths)", "q = min(p + tile, paths - 1)",
+     "the last path tile of a block must draw the block's last path"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
