@@ -37,6 +37,7 @@ from .chain import (
 )
 from .errors import (
     ConvergenceFailure,
+    DegenerateLaw,
     HorizonTooLarge,
     InvalidInput,
     InvalidLaw,

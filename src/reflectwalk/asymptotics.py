@@ -24,7 +24,6 @@ from .reflection import (
     _require_states,
     build_reflection_core,
     dominant_eigenvalue,
-    e_column,
     e_tilde_value,
     r_row,
     r_tilde_row,
@@ -94,7 +93,7 @@ def centered_constant(
         objects = centered_objects(law, window=y)
 
     a = objects.a
-    column = e_column(objects.ladder, objects.slope_table, y, range(1, a + 1))
+    column = objects.excursion_column(y, range(1, a + 1))
     nu_e = math.fsum(objects.nu[x - 1] * column.values[x] for x in range(1, a + 1))
     nu_rt = objects.nu_weighted_tilde_mass()
     if not nu_rt < 0:
@@ -164,7 +163,7 @@ def drifted_objects(
     core_tilde = np.array([tilde for _, tilde in pairs])
     row_x, row_x_tilde = conj_rows(x)
 
-    column = e_column(ladder, slope_table, y, states)
+    column = objects.excursion_column(y, states)
     e_core = np.array([r0 ** (s - y) * column.values[s] for s in states])
     e_tilde_core = np.array([scale * r0 ** (s - y) * column.tilde[s] for s in states])
     e_tilde_x = scale * r0 ** (x - y) * e_tilde_value(ladder, slope_table, x, y)

@@ -1,13 +1,14 @@
 """Exact finite-horizon evolution of the reflected chain X_{n+1} = |X_n + Y|.
 
-Every exact law in the package comes from one DP engine, the stepping
-generator `_evolve`. A walk steps a row of masses over the states 0, 1, ...
-by one increment; landings below 0 either fold onto their absolute value
-(the reflected chain) or are killed and reported (the excursion, the first
+Every exact law in the package comes from one DP engine, the stepping loop
+`_evolve`. A walk steps a row of masses over the states 0, 1, ... by one
+increment; landings below 0 either fold onto their absolute value (the
+reflected chain) or are killed and reported (the excursion, the first
 reflection, the ladder epochs). The builders here and in `fluctuation` only
-pick the walk and read it: a stored table keeps its rows, and everything
-else goes through `_columns`, the one reader, which makes its walk and turns
-it into entry columns and killed masses.
+pick the walk and read it: a stored table keeps the rows the walk yields,
+and everything else goes through `_columns`, the one reader, which hands the
+walk the entries and landing slots it reads; the loop writes them into the
+series itself, step by step, and yields no rows.
 A series in s is held as its coefficients: a read-only float64 array whose
 entry n is the coefficient of s^n, n = 0..n_max. A stored table is a tuple
 of read-only rows, row n over the states 0, 1, ..., its sub-TINY tail cut.
@@ -15,24 +16,32 @@ of read-only rows, row n over the states 0, 1, ..., its sub-TINY tail cut.
 A walk steps inside two zero-padded buffers, allocated once and grown
 geometrically: each step writes the next row into the other buffer, so a
 row the walk yields lives until its next step, and a stored table keeps a
-copy. The kernel is a fixed-order shift-and-add: it is elementwise, so its
-rows are the same bits on every IEEE-754 build. The builders of this module
-sum the taps first-last, those of `fluctuation` last-first. So the two
-modules round along different paths and the identity checks between them
-are not vacuous. `_columns` steps only the dependency cone of what it reads:
-mass moves down at most a states a step, so an entry of row n past R +
-a (n_max - n), R the deepest entry read, cannot reach one by n_max. The cone
-differs from the uncut walk only through the sub-TINY trim at its edge,
-which moves the same class of entries as the trim of every row: none of at
-least 1e-280, none by more than 1e-300. `_evolve` checks the start, horizon
-and size of every walk in `_check_budget`, the one place that holds the caps.
+copy. Each step runs through a plan per buffer parity, made only when the
+computed width moves. The kernel is a fixed-order shift-and-add. A narrow or
+sparse law makes one multiply and one add per nonzero tap, elementwise; a
+law of FUSED_TAPS nonzero taps or more makes one multiply of every tap over
+a strided window of the row and one `np.add.reduce` along the window's outer
+axis, which adds the product rows first to last: the same products, summed
+in the same order. So the rows are the same bits on every IEEE-754 build.
+The builders of this module sum the taps first-last, those of `fluctuation`
+last-first. So the two modules round along different paths and the identity
+checks between them are not vacuous. `_columns` steps only the dependency
+cone of what it reads: mass moves down at most a states a step, so an entry
+of row n past R + a (n_max - n), R the deepest entry read, cannot reach one
+by n_max. The cone differs from the uncut walk only through the sub-TINY
+trim at its edge, which moves the same class of entries as the trim of every
+row: none of at least 1e-280, none by more than 1e-300. `_evolve` checks the
+start, horizon and size of every walk in `_check_budget`, the one place that
+holds the caps.
 """
 
 from __future__ import annotations
 
+import contextvars
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib import NumpyVersion
 
 from .errors import HorizonTooLarge, InvalidInput
 from .laws import LatticeLaw
@@ -41,6 +50,9 @@ MEMORY_CAP_FLOATS = 50_000_000
 DEFAULT_N_MAX_CAP = 10_000  # stored tables
 STREAMING_N_MAX_CAP = 50_000  # streamed walks
 TINY = np.finfo(float).tiny  # smallest normal float, 2.2e-308: no row ends below it
+FUSED_TAPS = 4  # a law with this many nonzero taps, and few zero ones, steps fused (see `_evolve`)
+FUSED_FLOATS = 1 << 16  # products per fused call, 512 KiB: a wider row steps in column blocks
+_SCOPED_BUFSIZE = NumpyVersion(np.__version__) >= "2.0.0"
 
 
 @dataclass(frozen=True)
@@ -89,8 +101,23 @@ def _check_budget(x: int, n_max: int, a: int, b: int, stored: bool):
         raise HorizonTooLarge(f"table would hold ~{estimate} floats, cap {MEMORY_CAP_FLOATS}")
 
 
+def _fused_context() -> contextvars.Context:
+    """The context of a fused step's two ufunc calls: one whose ufunc buffer
+    is too small to copy the step's rows through. numpy 2.4 copies the rows
+    of a 2-D call through that buffer when they are shorter than about a
+    third of it (8192 items by default), which costs the multiply about 4x.
+    The buffer size changes no bit of an elementwise call or of a reduce
+    along the outer axis. From numpy 2.0 on it is scoped to a context; numpy
+    1.x keeps it per thread, so there it is left as it is."""
+    context = contextvars.copy_context()
+    if _SCOPED_BUFSIZE:
+        context.run(np.setbufsize, 64)
+    return context
+
+
 def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = False,
-            last_first: bool = False, stored: bool = False, reach: int | None = None):
+            last_first: bool = False, stored: bool = False, reach: int | None = None,
+            reads: list | None = None):
     """The one DP stepping loop: an iterator of (row, killed) for n = 0..n_max.
 
     `start` is a start state x or a start row. Tap k of `taps` moves mass by
@@ -104,6 +131,10 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = Fa
     the next step. `stored` selects the caps of a walk whose every row is
     kept. The budget is checked here, at the call, so callers may allocate
     for n_max before the first step.
+
+    With `reads`, a list of (series, state), the walk runs at the call instead
+    and returns None: series[n] gets entry `state` of row n (0 past the row's
+    end), or for a state -w < 0 the mass that step n landed on -w.
     """
     if isinstance(start, np.ndarray):
         row, x = start, start.shape[0] - 1
@@ -115,57 +146,94 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = Fa
     order = range(pad, -1, -1) if last_first else range(pad + 1)
     taps = taps.tolist()
     terms = [(pad - k, taps[k]) for k in order if taps[k] != 0.0]  # (read offset, tap)
+    # A law of FUSED_TAPS nonzero taps or more, at least 3/4 of its taps, steps
+    # fused: one multiply of every tap, in `order`, over a strided window of the
+    # row and one reduce that adds the product rows first to last. Its products
+    # and the order of their sums are the shift-and-add's, and a zero tap adds
+    # +0.0 to a nonnegative mass, which leaves it as it is. A narrower or
+    # sparser law steps with one multiply and one add per nonzero tap.
+    fused = len(terms) >= FUSED_TAPS and 4 * len(terms) >= 3 * len(taps)
+    column = np.array(taps)[list(order), None] if fused else None
+    run = _fused_context().run if fused else None
+    if reads is not None:  # as buffer indices; no row reaches past x + b n_max, nor a fold past a
+        deepest = max(x + b * n_max, a if fold else 0)
+        reads = [(series, pad + state) for series, state in reads if state <= deepest]
     mul, add = np.multiply, np.add
 
-    def buffer(size: int):
-        # a zero buffer, its a landing slots read as killed, and its fold targets
-        buf = np.zeros(size)
-        return buf, buf[pad - a : pad][::-1], buf[pad + 1 : pad + a + 1]
-
     def steps():
-        length, prev = x + 1, 0  # the row lengths that the two buffers hold
-        (cur, landed, mirror), other = buffer(4 * (pad + length)), buffer(4 * (pad + length))
-        product = np.empty(cur.size)
+        length, prev = x + 1, 0  # the lengths of rows n - 1 and n - 2
+        size = max(4 * (pad + length), 1 + max([j for _, j in reads or ()], default=0))
+        bufs = [np.zeros(size), np.zeros(size)]  # row n lives in bufs[n % 2]
+        dest, landed = bufs[0], bufs[0][pad - a : pad][::-1]
         if row is None:
-            cur[pad + x] = 1.0
+            dest[pad + x] = 1.0
         else:
-            cur[pad : pad + length] = row
-        cover, views = 0, {}
+            dest[pad : pad + length] = row
+        scratch = np.empty(0)
+        cover, plans = 0, [None, None]
         for n in range(n_max + 1):
             if n:
-                landed.fill(0.0)  # read by now
                 width = max(length + b, a + 1) if fold else length + b
                 if reach is not None:
                     width = min(width, reach + a * (n_max - n) + 1)
-                # the step computes `cover` states, up to 128 spare, through views sliced only
-                # when `cover` moves: spare entries cost less than slicing every step
+                # the step computes `cover` states, up to 128 spare, through one plan per
+                # parity, built only when `cover` moves: spare entries cost less than slicing
                 if not width <= cover < width + 128:
-                    cover, views = width + 64, {}
-                    if pad + a + cover > cur.size:  # grow both buffers geometrically
-                        (grown, landed, mirror), other = buffer(2 * (pad + a + cover)), buffer(2 * (pad + a + cover))
-                        grown[: pad + length] = cur[: pad + length]
-                        cur, prev, product = grown, 0, np.empty(grown.size)
-                nxt, next_landed, next_mirror = other
-                if n % 2 not in views:  # the step computes entries -a .. cover - 1
-                    span = a + cover
-                    views[n % 2] = nxt[pad - a : pad + cover], product[:span], [(cur[s : s + span], t) for s, t in terms]
-                out, scratch, ((head, t), *rest) = views[n % 2]
-                mul(head, t, out)
-                for src, t in rest:
-                    add(out, mul(src, t, scratch), out)
+                    cover, plans = width + 64, [None, None]
+                    if pad + a + cover > size:  # grow both buffers geometrically
+                        size = 2 * (pad + a + cover)
+                        grown = np.zeros(size)
+                        grown[pad : pad + length] = dest[pad : pad + length]
+                        bufs[n % 2], bufs[1 - n % 2], prev = np.zeros(size), grown, 0
+                plan = plans[n % 2]
+                if plan is None:  # the step computes entries -a .. cover - 1 of row n
+                    src, dest, span = bufs[1 - n % 2], bufs[n % 2], a + cover
+                    out = dest[pad - a : pad + cover]
+                    if not fused:
+                        if scratch.size < span:
+                            scratch = np.empty(2 * span)
+                        (head, tap), *rest = [(src[s : s + span], t) for s, t in terms]
+                        kernel = head, tap, rest, scratch[:span]
+                    else:  # window row i reads from offset i: first-last reads it bottom up
+                        height, cols = column.size, max(1, FUSED_FLOATS // column.size)
+                        if scratch.size < height * min(span, cols):
+                            scratch = np.empty(height * min(2 * span, cols))
+                        window = np.ndarray((height, span), buffer=src, strides=(src.itemsize, src.itemsize))
+                        window = window if last_first else window[::-1]
+                        kernel = [(window[:, i : i + cols], scratch[: height * min(cols, span - i)].reshape(height, -1),
+                                   out[i : i + cols]) for i in range(0, span, cols)]
+                    plan = plans[n % 2] = (src[pad - a : pad], dest, out, kernel,
+                                           dest[pad + 1 : pad + a + 1], dest[pad - a : pad][::-1])
+                low, dest, out, kernel, mirror, landed = plan
+                low.fill(0.0)  # the landings of row n - 1, read by now
+                if not fused:
+                    head, tap, rest, product = kernel
+                    mul(head, tap, out)
+                    for src, t in rest:
+                        add(out, mul(src, t, product), out)
+                else:
+                    for window, product, part in kernel:
+                        run(mul, window, column, product)
+                        run(add.reduce, product, 0, None, part)
                 if fold and width > a:
-                    add(next_mirror, next_landed, next_mirror)
+                    add(mirror, landed, mirror)
                 elif fold:  # the cone cuts the fold targets too
                     out[a + 1 : a + width] += out[a + 1 - width : a][::-1]
                 end = width
                 while end > 1 and out[a + end - 1] < TINY:
                     end -= 1
-                nxt[pad + end : pad + max(cover, prev)] = 0.0  # the cut tail, and what row n - 1 left
-                other, (cur, landed, mirror) = (cur, landed, mirror), other
+                dest[pad + end : pad + max(cover, prev)] = 0.0  # the cut tail, and what row n - 2 left
                 length, prev = end, length
-            yield cur[pad : pad + length], None if fold else landed
+            if reads is None:
+                yield dest[pad : pad + length], None if fold else landed
+            else:
+                for series, j in reads:
+                    series[n] = dest[j]
 
-    return steps()
+    walk = steps()
+    if reads is None:
+        return walk
+    next(walk, None)  # a walk with reads yields nothing: this runs it to its end
 
 
 def _columns(start, taps: np.ndarray, offset: int, ys, n_max: int, *,
@@ -180,15 +248,12 @@ def _columns(start, taps: np.ndarray, offset: int, ys, n_max: int, *,
     mass step n kills comes from states below a of row n - 1, inside any cone.
     """
     ys = sorted(set(int(y) for y in ys))
-    walk = _evolve(start, taps, offset, n_max, fold=fold, last_first=last_first, reach=max([0, *ys]))
     out = np.zeros((len(ys), n_max + 1))
     killed = None if fold else np.zeros((offset, n_max + 1))
-    for n, (row, lost) in enumerate(walk):
-        for i, y in enumerate(ys):
-            if 0 <= y < row.shape[0]:
-                out[i, n] = row[y]
-        if killed is not None:
-            killed[:, n] = lost
+    reads = [(series, y) for series, y in zip(out, ys) if y >= 0]
+    if killed is not None:
+        reads += [(killed[w - 1], -w) for w in range(1, offset + 1)]
+    _evolve(start, taps, offset, n_max, fold=fold, last_first=last_first, reach=max([0, *ys]), reads=reads)
     for array in (out, killed):
         if array is not None:
             array.flags.writeable = False

@@ -43,7 +43,6 @@ from .reflection import (
     build_reflection_core,
     doeblin_gap,
     dominant_eigenvalue,
-    e_column,
     e_value,
     excursion_slope_oracle_error,
     r_row_at_s,
@@ -362,6 +361,8 @@ def _cmd_constants(args, law) -> int:
         # leave every entry the constant reads unchanged
         base, r0, tilted = _centered_base(law)
         core = centered_objects(base, window=max(args.x, args.y, 10))
+        # made first on the whole window, the column serves the constant's [1, a] too
+        col = core.excursion_column(args.y, core.x_window)
     if args.no_oracle:
         asym = asymptotic_law(law, args.x, args.y, core)
         payload = {
@@ -375,7 +376,6 @@ def _cmd_constants(args, law) -> int:
     else:
         payload = constant_report(law, args.x, args.y, oracle_n=args.oracle_n, objects=core)
     if core is not None:
-        col = e_column(core.ladder, core.slope_table, args.y, core.x_window)
         payload["internals"] = {
             "tilted": tilted,
             "r0": r0,

@@ -25,6 +25,11 @@ class RootClusterUnresolved(ReflectWalkError):
     """A factorization root sits too close to the unit circle to classify."""
 
 
+class DegenerateLaw(ReflectWalkError):
+    """The law is too close to a point mass for its ladder laws: the weak
+    ascent leaves no stay mass to renew from."""
+
+
 class NotCentered(ReflectWalkError):
     """Operation requires a centered law (tilt first for drifted laws)."""
 

@@ -8,7 +8,7 @@ here reduces to an a x a core plus explicitly computed boundary rows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -186,7 +186,8 @@ class ReflectionCore:
     map x to the kernel row (R(x, y))_{y=1..a} and its sqrt(1-s) slope; core
     is the a x a block on [1, a]; nu the stationary probability of the target
     chain; kappa the Doeblin constant; slope_rel_err the kernel slope
-    oracle's error on tilde_rows.
+    oracle's error on tilde_rows. columns holds the excursion columns made
+    from the core so far, keyed by y (see `excursion_column`).
     """
 
     ladder: LadderSystem
@@ -198,10 +199,21 @@ class ReflectionCore:
     kappa: float
     tilde_rows: dict
     slope_rel_err: float
+    columns: dict = field(default_factory=dict, repr=False)
 
     @property
     def a(self) -> int:
         return self.ladder.a
+
+    def excursion_column(self, y: int, xs) -> ExcursionColumn:
+        """`e_column` of the core's ladder and slopes at y, over xs or over
+        every x of a column made from the core before. Each value is computed
+        per x and the gate's error is the worst over its xs, so a column made
+        on more states serves fewer with the same bits, behind its gate."""
+        col = self.columns.get(y)
+        if col is None or not set(xs) <= col.values.keys():
+            col = self.columns[y] = e_column(self.ladder, self.slope_table, y, xs)
+        return col
 
     def nu_weighted_tilde_mass(self) -> float:
         """nu-average of the total slope mass, the denominator of the

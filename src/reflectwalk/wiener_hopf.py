@@ -17,7 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceFailure, InvalidInput, NotCentered, RootClusterUnresolved, SlopeMismatch
+from .errors import (
+    ConvergenceFailure,
+    DegenerateLaw,
+    InvalidInput,
+    NotCentered,
+    RootClusterUnresolved,
+    SlopeMismatch,
+)
 from .laws import DRIFT_TOL, LatticeLaw, mgf, moments
 
 CIRCLE_TOL = 1e-8  # roots this close to |z| = 1 cannot be classified
@@ -266,9 +273,15 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
         raise InvalidInput(f"potential depth must be >= 0, got {depth}")
     fp = factorize_at(law, 1.0)
     mu_minus, mu_plus = fp.phi_minus, fp.phi_plus
+    _, variance = moments(law)
+    stay = 1.0 - mu_plus[0]  # the ascent potential renews from it: U+(0) = 1 / stay
+    if not stay > 0.0:
+        raise DegenerateLaw(
+            f"the law is too close to a point mass for its ladder laws: stay mass 1 - P[weak ascent "
+            f"height 0] = {stay:.3e} at variance {variance:.3e}"
+        )
     U_minus, U_plus = u_minus_at(fp, depth), u_plus_at(fp, depth)
 
-    _, variance = moments(law)
     mean_ladder_minus = -math.fsum(
         w * mu_minus[w - 1] for w in range(1, law.a + 1)
     )

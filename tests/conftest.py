@@ -51,6 +51,14 @@ def random_laws(count: int, seed: int, centered: bool, width: int = 3):
     return laws
 
 
+def dense_law(a: int, b: int, seed: int) -> LatticeLaw:
+    """Seeded law on [-a, b] with every mass positive: Dirichlet masses plus a
+    0.02 floor, as the benchmark draws its wide laws."""
+    rng = np.random.default_rng(seed)
+    masses = rng.dirichlet(np.ones(a + b + 1)) + 0.02
+    return law_from_masses({k - a: float(m) for k, m in enumerate(masses / masses.sum())})
+
+
 def shift_add(row: np.ndarray, taps: list, order: range) -> np.ndarray:
     """Full linear convolution, out[t] = sum_k taps[k] * row[t - k], in a
     fresh array: the reference kernel that `dp_step` steps with.

@@ -20,9 +20,26 @@ from reflectwalk import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from reflectwalk.chain import DEFAULT_N_MAX_CAP, STREAMING_N_MAX_CAP, TINY, _columns, _evolve, excursion_series
+from reflectwalk import chain
+from reflectwalk.chain import (
+    DEFAULT_N_MAX_CAP,
+    STREAMING_N_MAX_CAP,
+    TINY,
+    _check_budget,
+    _columns,
+    _evolve,
+    excursion_series,
+)
 from reflectwalk.fluctuation import ascent_joint_table, stay_nonneg_table
-from conftest import assert_matches_untrimmed, assert_trimmed, dp_step, random_laws, untrimmed_walk
+from conftest import (
+    assert_matches_untrimmed,
+    assert_trimmed,
+    dense_law,
+    dp_step,
+    random_laws,
+    shift_add,
+    untrimmed_walk,
+)
 
 
 class TestStepRow:
@@ -244,6 +261,14 @@ class TestStreamedInputChecks:
         with pytest.raises(HorizonTooLarge):
             STREAMED[name](law_a, 0, STREAMING_N_MAX_CAP + 1)
 
+    def test_streamed_cap_holds_at_its_value(self):
+        # STREAMING_N_MAX_CAP steps pass the check and one more is refused; the
+        # check runs at the call, so no 50,000-step walk is made. (The stored
+        # horizon cap never decides: the float estimate refuses first.)
+        _check_budget(0, STREAMING_N_MAX_CAP, 1, 1, stored=False)
+        with pytest.raises(HorizonTooLarge, match=f"n_max {STREAMING_N_MAX_CAP + 1} exceeds cap {STREAMING_N_MAX_CAP}$"):
+            _check_budget(0, STREAMING_N_MAX_CAP + 1, 1, 1, stored=False)
+
     @pytest.mark.parametrize("name", sorted(STREAMED))
     def test_negative_horizon(self, name, law_a):
         with pytest.raises(InvalidInput):
@@ -358,3 +383,109 @@ def test_kept_rows_outlive_the_walk(name, law_asym):
         step, _ = dp_step(before, law_asym, fold, last_first)
         assert np.array_equal(row, step[: row.size]) and np.all(step[row.size :] < TINY)
     assert not kept[0].flags.writeable
+
+
+# laws that step fused: dense ones from FUSED_TAPS taps up, and a wide law whose
+# interior holds zero taps (13 of its 17 taps nonzero)
+FUSED_LAWS = {
+    "dense_4": dense_law(2, 1, 1),
+    "dense_9": dense_law(3, 5, 2),
+    "dense_17": dense_law(8, 8, 3),
+    "dense_23": dense_law(15, 7, 4),
+    "holes_17": law_from_masses({k: 0.0 if k in (-6, -3, 1, 5) else 1 / 13 for k in range(-8, 9)}),
+}
+
+
+class TestFusedKernel:
+    """A law of FUSED_TAPS nonzero taps or more steps with one multiply over a
+    strided window and one reduce along its outer axis. That reduce must add
+    the product rows first to last, so every row, series and killed mass is
+    the shift-and-add's, bit for bit: `untrimmed_walk` steps with
+    `conftest.shift_add`. The walks here hold no entry anywhere near TINY, so
+    no trim moves a bit. A small FUSED_FLOATS splits each step into column
+    blocks."""
+
+    N = 60
+
+    @pytest.fixture(params=[chain.FUSED_FLOATS, 17 * 40], ids=["one_block", "column_blocks"])
+    def fused(self, request, monkeypatch):
+        # counts the fused walks, so that a test fails if its law stepped narrow
+        monkeypatch.setattr(chain, "FUSED_FLOATS", request.param)
+        made = []
+        context = chain._fused_context
+
+        def counting():
+            made.append(1)
+            return context()
+
+        monkeypatch.setattr(chain, "_fused_context", counting)
+        return made
+
+    @pytest.mark.parametrize("name", sorted(FUSED_LAWS))
+    @pytest.mark.parametrize("fold", [False, True], ids=["killed", "fold"])
+    @pytest.mark.parametrize("last_first", [False, True], ids=["first_last", "last_first"])
+    def test_stored_rows(self, name, fold, last_first, fused):
+        law = FUSED_LAWS[name]
+        walk = _evolve(2, law.masses, law.a, self.N, fold=fold, last_first=last_first, stored=True)
+        rows, killed = zip(*((row.copy(), None if k is None else k.copy()) for row, k in walk))
+        whole, whole_killed = untrimmed_walk(law, 2, self.N, fold, last_first)
+        assert len(fused) == 1
+        assert all(np.array_equal(row, full[: row.size]) and not full[row.size :].any()
+                   for row, full in zip(rows, whole))
+        assert fold or np.array_equal(np.array(killed), whole_killed)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_LAWS))
+    @pytest.mark.parametrize("fold", [False, True], ids=["killed", "fold"])
+    @pytest.mark.parametrize("last_first", [False, True], ids=["first_last", "last_first"])
+    @pytest.mark.parametrize("cone", [True, False], ids=["cone", "uncut"])
+    def test_columns(self, name, fold, last_first, cone, fused):
+        # with y = 2 the cone cuts every row past 2 + a (N - n); the deepest
+        # state the walk can reach leaves every row whole
+        law = FUSED_LAWS[name]
+        ys = [0, 2] if cone else [0, 2, 2 + law.b * self.N]
+        columns, killed = _columns(2, law.masses, law.a, ys, self.N, fold=fold, last_first=last_first)
+        whole, whole_killed = untrimmed_walk(law, 2, self.N, fold, last_first)
+        assert len(fused) == 1
+        for y, series in columns.items():
+            assert np.array_equal(series, [row[y] if y < row.size else 0.0 for row in whole])
+        assert killed is None if fold else np.array_equal(killed, whole_killed.T)
+
+    @pytest.mark.parametrize("name", sorted(FUSED_LAWS))
+    def test_ascent_start_row(self, name, fused):
+        # the weak ascent walks the mirrored taps from a start row, last-first
+        law = FUSED_LAWS[name]
+        series = ascent_joint_table(law, self.N)
+        flipped, b = law.masses[::-1].tolist(), law.b
+        h = np.array([law.mass(-1 - i) for i in range(law.a)])
+        for n in range(2, self.N + 1):
+            full = shift_add(h, flipped, range(len(flipped) - 1, -1, -1))
+            h, exits = full[b:], full[:b][::-1]
+            assert exits.tolist() == [series[j][n] for j in range(b)]
+        assert len(fused) == 1
+
+
+    def test_bits_do_not_depend_on_the_ufunc_buffer(self, fused, monkeypatch):
+        # the fused calls run with a 64-item ufunc buffer; with numpy's default,
+        # as on numpy 1.x, every series and killed mass is the same
+        law, outside = FUSED_LAWS["dense_17"], np.getbufsize()
+        small = _columns(0, law.masses, law.a, [0, 5], self.N, last_first=True)
+        monkeypatch.setattr(chain, "_SCOPED_BUFSIZE", False)
+        default = _columns(0, law.masses, law.a, [0, 5], self.N, last_first=True)
+        assert len(fused) == 2 and np.getbufsize() == outside
+        assert all(np.array_equal(small[0][y], default[0][y]) for y in (0, 5))
+        assert np.array_equal(small[1], default[1])
+
+
+@pytest.mark.parametrize("law", [law_from_masses({-1: 1 / 3, 0: 1 / 3, 1: 1 / 3}), FUSED_LAWS["dense_9"]],
+                         ids=["narrow", "fused"])
+@pytest.mark.parametrize("fold", [False, True], ids=["killed", "fold"])
+def test_columns_read_past_a_row_end_as_zero(law, fold):
+    # y = 40 lies past every row of a 1-step walk, and past the first rows of a
+    # 30-step one; each entry past its row's end reads 0
+    for n in (1, 30):
+        columns, _ = _columns(1, law.masses, law.a, [0, 3, 40], n, fold=fold)
+        rows = [row.copy() for row, _ in _evolve(1, law.masses, law.a, n, fold=fold, stored=True)]
+        for y, series in columns.items():
+            assert np.array_equal(series, [row[y] if y < row.size else 0.0 for row in rows])
+        assert not columns[40][: (40 - 1) // law.b].any()
+    assert (columns[40][-1] > 0) == (1 + law.b * 30 >= 40)

@@ -22,14 +22,16 @@ from reflectwalk import (
     fluctuation,
     ladder_laws,
     load_law,
+    minimize_mgf,
     n_step_table,
     reflection,
     stay_series,
+    tilt,
     wiener_hopf,
 )
 from reflectwalk.cli import _BLOCK, _HALF, _MID, _P10, _centered_base, _emit_csv, _exact_blocks, main
 from reflectwalk.reflection import e_value
-from conftest import golden_mismatch
+from conftest import dense_law, golden_mismatch
 
 LAWS = Path(__file__).parent / "laws"
 GOLDEN = Path(__file__).parent / "golden"
@@ -177,6 +179,31 @@ def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):
         assert calls == {"r_row": window, "r_tilde_row": window}, law_path
 
 
+def test_dump_internals_builds_each_excursion_value_once(tmp_path, monkeypatch, capsys):
+    # the dump's excursion column on the window 0..max(2a, 8) also serves the
+    # constant's entries on [1, a]: on a = b = 20, 41 values and 41 slopes, not 61
+    wide = dense_law(20, 20, 1)
+    wide = tilt(wide, minimize_mgf(wide).r0)
+    path = tmp_path / "c20.json"
+    path.write_text(json.dumps({"masses": {str(k): v for k, v in wide.as_dict().items()}}))
+    calls = {"e_value": 0, "e_tilde_value": 0}
+    for name in calls:
+        fn = getattr(reflection, name)
+
+        def counting(*args, _name=name, _fn=fn):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(reflection, name, counting)
+    for law_path, window in ((str(path), 41), (LAW_A, 9)):
+        calls.update(e_value=0, e_tilde_value=0)
+        argv = ["constants", "--law", law_path, "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
+        code, out, _ = run(argv, capsys)
+        assert code == 0
+        assert len(json.loads(out)["internals"]["E_column"]) == window
+        assert calls == {"e_value": window, "e_tilde_value": window}, law_path
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["analyze"]) == 1
@@ -216,6 +243,25 @@ class TestExitCodes:
         law = tmp_path / "periodic.json"
         law.write_text('{"masses": {"-1": 0.5, "1": 0.5}}')
         assert main(["constants", "--law", str(law), "--y", "0"]) == 2
+
+    @pytest.mark.parametrize(
+        "e,argv",
+        [
+            (1e-17, ["ladder"]),
+            (1e-17, ["constants", "--y", "1", "--no-oracle"]),
+            (1e-18, ["validate", "--oracle-n", "100"]),
+        ],
+        ids=["ladder", "constants", "validate"],
+    )
+    def test_near_point_mass_is_two(self, e, argv, tmp_path, capsys):
+        # masses (e, 1, e) / (1 + 2e) pass every law check, but the weak ascent
+        # leaves no stay mass: a typed error, one line, nothing on stdout
+        law = tmp_path / "lazy.json"
+        law.write_text(json.dumps({"masses": {"-1": e / (1 + 2 * e), "0": 1 / (1 + 2 * e), "1": e / (1 + 2 * e)}}))
+        code, out, err = run([argv[0], "--law", str(law), *argv[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:") and "stay mass" in err and "variance" in err
 
     @pytest.mark.parametrize(
         "argv,field",

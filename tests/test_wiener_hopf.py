@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
+    DegenerateLaw,
     LatticeLaw,
     NotCentered,
     RootClusterUnresolved,
@@ -13,6 +14,7 @@ from reflectwalk import (
     descent_joint_table,
     factorize_at,
     ladder_laws,
+    law_from_masses,
     richardson_slope,
     roots_z_pm,
     slopes,
@@ -126,6 +128,16 @@ class TestLadderLaws:
                 1.0 / (1.0 - ladder.mu_plus[0]), rel=1e-12
             )
             assert ladder.U_minus[0] == 1.0
+
+    @pytest.mark.parametrize("e", [1e-17, 1e-18, 1e-30])
+    def test_near_point_mass_names_stay_mass_and_variance(self, e):
+        # (e, 1, e) / (1 + 2e) is a valid centered law, but its s = 1 factorization
+        # puts all the weak ascent's mass at height 0: U+(0) = 1 / stay has no value
+        law = law_from_masses({-1: e / (1 + 2 * e), 0: 1 / (1 + 2 * e), 1: e / (1 + 2 * e)})
+        assert factorize_at(law, 1.0).phi_plus[0] == 1.0
+        with pytest.raises(DegenerateLaw, match=r"stay mass .*= 0\.000e\+00 at variance") as info:
+            ladder_laws(law)
+        assert f"{moments(law)[1]:.3e}" in str(info.value)
 
     def test_renewal_theorem_limit(self, law_a, law_p5, law_asym):
         for law in (law_a, law_p5, law_asym):

@@ -52,8 +52,8 @@ MUTANTS = [
      "ndarray ** -1 is np.reciprocal, which rounds unlike the scalar z ** -1"),
     (WH, "np.add.reduce(terms, axis=0)", "np.add.reduce(np.ascontiguousarray(terms.T), axis=1)",
      "a reduce along the contiguous axis sums pairwise, not low power first"),
-    (ASYM, "column = e_column(ladder, slope_table, y, states)",
-     'column = e_column.__globals__["_excursion"](ladder, slope_table, y, states)',
+    (ASYM, "column = objects.excursion_column(y, states)",
+     'column = objects.excursion_column.__globals__["_excursion"](ladder, slope_table, y, states)',
      "a drifted constant must pass the excursion gate even when a core is passed in"),
     (REFL, "STATIONARY_TOL = 1e-8", "STATIONARY_TOL = 1e-4",
      "weights 1.2e-8 off stationarity in total variation must be rejected"),
@@ -69,6 +69,13 @@ MUTANTS = [
      "estimate_nu over several path blocks: each block's landing table has one row per path of the block"),
     (MC, "q = min(p + tile, paths)", "q = min(p + tile, paths - 1)",
      "the last path tile of a block must draw the block's last path"),
+    (CHAIN, "if n_max > n_cap:", "if n_max >= n_cap:",
+     "a streamed walk of exactly STREAMING_N_MAX_CAP steps is accepted"),
+    (CHAIN, "column = np.array(taps)[list(order), None] if fused else None",
+     "column = np.array(taps)[list(order)[::-1], None] if fused else None",
+     "the fused step multiplies each window row by its own tap, in the order the reduce adds them"),
+    (CHAIN, "series[n] = dest[j]", "series[n] = dest[j - 1]",
+     "a streamed walk reads each entry and landing slot at its own buffer index"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
