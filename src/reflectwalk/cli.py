@@ -34,7 +34,7 @@ from .chain import (
     verify_first_reflection_identity,
     verify_ladder_factorizations,
 )
-from .errors import InvalidInput, ReflectWalkError, SlopeMismatch
+from .errors import InvalidInput, NonFiniteOutput, ReflectWalkError, SlopeMismatch
 from .fluctuation import descent_joint_table, stay_series
 from .laws import Regime, check_hypotheses, load_law, minimize_mgf, moments, tilt
 from .montecarlo import SimConfig, simulate
@@ -60,26 +60,39 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _emit_json(payload):
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:  # allow_nan=False refuses NaN and +-inf
+        raise NonFiniteOutput(f"a JSON value is not finite ({exc})") from None
+    sys.stdout.write(text + "\n")
 
 
 def _emit_csv(header: str, blocks):
     """Write `header`, then each block, a list of columns of one length (at
-    least 1), as CSV rows with one `write` per block.
+    least 1), as CSV rows with one `write` per block. The header waits for
+    the first block's text, so a first block that fails writes nothing.
 
     Each int prints as "%d" and each float as "%.12g" would print it, byte for
     byte: `_put_floats` says how the digits are found, and when Python's own
-    formatting gives them instead.
+    formatting gives them instead. A NaN or infinite float raises
+    NonFiniteOutput before its block is written.
     """
-    sys.stdout.write(header + "\n")
+    head = header + "\n"
     for columns in blocks:
-        sys.stdout.write(_csv_text([np.asarray(c) for c in columns]))
+        text = _csv_text([np.asarray(c) for c in columns])
+        sys.stdout.write(head)
+        sys.stdout.write(text)
+        head = text = ""  # no text is held while the next block is formatted
+    sys.stdout.write(head)
 
 
 # Entries per `exact` block. A larger block spends less per entry on numpy
-# calls, but its arrays (about 150 bytes an entry) must stay far below the
-# stored table that streaming the DP avoids.
-_BLOCK = 1024
+# calls, but while it is formatted it holds about 85 bytes an entry (its
+# columns, its padded text, 35 bytes a line on `exact lawA --n 400`, and the
+# float path's scratch), which must stay far below the stored table that
+# streaming the DP avoids. 3,072 entries would save another 9% of the time
+# at 1.4 times the peak memory.
+_BLOCK = 2048
 
 
 def _words(raw: np.ndarray) -> np.ndarray:
@@ -126,7 +139,7 @@ _raw[:, 2:5] = _DIGITS[_J]
 _raw[:, 2] *= _J >= 100
 _raw[:5] = 0
 _EXP = _words(_raw)
-_LEAD_AT = np.where(_J > 4, 0, 2000 * _J)
+_LEAD_AT = np.where(_J > 4, 0, 2000 * _J).astype(np.int32)
 _P10 = np.cumprod([1] + [10] * 308, dtype=object).astype(np.float64)
 del _raw, _k
 _NORMAL_MIN = sys.float_info.min  # the smallest normal float
@@ -139,9 +152,9 @@ _FLOAT_WIDTH = 25  # the cell of `_put_floats`, with its separator
 def _put(buf, at: int, line: int, table: np.ndarray, index: np.ndarray):
     """Write table[index[r]] at byte at + r * line of buf, for each row r.
 
-    An index off the table (a guarded float's, whose text is replaced) clips."""
-    out = np.ndarray(index.shape, table.dtype, buf, at, (line,))
-    table.take(index, mode="clip", out=out)
+    An index off the table (a guarded float's, whose text is replaced) clips.
+    `take` into the strided view itself would copy it out and back."""
+    np.ndarray(index.shape, table.dtype, buf, at, (line,))[...] = table.take(index, mode="clip")
 
 
 def _csv_text(columns) -> str:
@@ -162,7 +175,9 @@ def _csv_text(columns) -> str:
         buf[at + width - 1 :: line] = 44  # ","
         at += width
     buf[line - 1 :: line] = 10  # "\n"
-    return text.translate(None, b"\0").decode("ascii")
+    del buf  # the padded text goes before the decoded one is made
+    text = text.translate(None, b"\0")
+    return text.decode("ascii")
 
 
 def _int_cell(col: np.ndarray):
@@ -172,7 +187,8 @@ def _int_cell(col: np.ndarray):
         lo, hi = int(col.min()), int(col.max())
         if -(2**63) < lo and hi < 2**63:
             groups = (len(str(max(-lo, hi))) + 2) // 3
-            ints = col.astype(np.int64, copy=False)
+            # int32 holds the values, and every group's scale, below 10^9
+            ints = col.astype(np.int32 if groups <= 3 else np.int64, copy=False)
             return partial(_put_ints, ints, groups, lo < 0), 4 * groups + 1
     text = np.array([b"%d" % x for x in col.tolist()], "S")
     return partial(_put_text, text), text.itemsize + 1
@@ -186,6 +202,9 @@ def _put_text(text: np.ndarray, buf, at: int, line: int):
 
 def _put_ints(v: np.ndarray, groups: int, negative: bool, buf, at: int, line: int):
     """Write "%d" % x for each x of v as `groups` 3-digit groups, 4 bytes each."""
+    if groups == 1 and not negative:  # each x is the index of its own text
+        _put(buf, at, line, _INT_GROUP, v)
+        return
     mag = np.abs(v) if negative else v
     sign = 1000 * (v < 0) if negative else 0
     for i in range(groups):
@@ -211,44 +230,75 @@ def _put_floats(v: np.ndarray, buf, at: int, line: int):
         would round up to 1e12.
     Then mi holds the correctly rounded digits. Those guarded entries, and
     every x off the fast path (zeros, subnormals, negative, large or
-    non-finite values), take their text from Python's "%.12g" % x.
+    non-finite values), take their text from Python's "%.12g" % x; a
+    non-finite one raises NonFiniteOutput instead.
 
     The bytes hold "0." and up to 3 zeros, or nothing; d0, ".", d1 .. d11 in
     3-digit groups, trailing zeros (and a bare point) dropped; "e-XX",
     "e-XXX" or nothing.
     """
-    j, mi, guard = _mantissas(v)
-    hi, lo = _divmod(mi, 10**6)
-    g0, g1 = _divmod(hi, 1000)
-    g2, g3 = _divmod(lo, 1000)
-    # a group keeps its trailing zeros while a later group is nonzero
-    _put(buf, at, line, _LEAD_GROUP, g0 + 1000 * ((g1 | lo) > 0) + _LEAD_AT.take(j))
-    _put(buf, at + 8, line, _GROUP, g1 + 1000 * (lo > 0))
-    _put(buf, at + 11, line, _GROUP, g2 + 1000 * (g3 > 0))
-    _put(buf, at + 14, line, _GROUP, g3)
+    j, hi, lo, guard = _mantissas(v)
+    if guard.size:
+        values = v[guard].tolist()
+        if not all(map(math.isfinite, values)):
+            bad = next(x for x in values if not math.isfinite(x))
+            raise NonFiniteOutput(f"a CSV value is not finite ({bad})")
+    # the groups g0 g1 g2 g3 of the digits are made one at a time, g1 and g3
+    # in place of hi and lo, and each index in one int32 array; a group
+    # keeps its trailing zeros while a later group is nonzero. The pieces
+    # are written left to right: each overwrites the pad of the one before.
+    index = _LEAD_AT.take(j)
+    g = hi // 1000
+    index += g
+    hi -= g * 1000
+    later = lo > 0
+    np.add(index, 1000, out=index, where=later | (hi > 0))
+    _put(buf, at, line, _LEAD_GROUP, index)
+    index[...] = hi
+    np.add(index, 1000, out=index, where=later)
+    _put(buf, at + 8, line, _GROUP, index)
+    np.floor_divide(lo, 1000, out=hi)
+    index[...] = hi
+    lo -= hi * 1000
+    np.add(index, 1000, out=index, where=lo > 0)
+    _put(buf, at + 11, line, _GROUP, index)
+    _put(buf, at + 14, line, _GROUP, lo)
     _put(buf, at + 17, line, _EXP, j)
     if guard.size:
-        text = np.array([b"%.12g" % x for x in v[guard].tolist()], "S24")
+        text = np.array([b"%.12g" % x for x in values], "S24")
         cells = np.ndarray((v.size, 24), np.uint8, buf, at, (line, 1))
         cells[guard] = text.view(np.uint8).reshape(guard.size, 24)
 
 
-def _divmod(v: np.ndarray, d: int):
-    """np.divmod(v, d) for ints v >= 0, in the ops numpy does fastest."""
-    q = v // d
-    return q, v - q * d
-
-
 def _mantissas(v: np.ndarray):
-    """(j, mi, guard) of `_put_floats`, guard as row indices."""
+    """(j, hi, lo, guard) of `_put_floats`: j as int16, the digits mi as
+    hi, lo = divmod(mi, 10^6) in int32, and guard as row indices. The float
+    scratch is reused in place, so a block holds few bytes an entry."""
     # an x off the fast path stands in as 1.0, whose m = 1e11 is guarded
     m = np.where((v >= _NORMAL_MIN) & (v < 9.5), v, 1.0)
-    j = -np.floor(np.log10(m)).astype(np.intp)
+    scratch = np.log10(m)
+    np.floor(scratch, out=scratch)
+    np.negative(scratch, out=scratch)
+    j = scratch.astype(np.int16)
     m *= 1e11
-    m *= _P10.take(j)
-    mi = np.rint(m)
-    guard = np.flatnonzero((np.abs(m - mi) >= 0.499) | (np.abs(m - _MID) >= _HALF))
-    return j, mi.astype(np.int64), guard
+    m *= _P10.take(j, mode="clip", out=scratch)  # "raise" would copy out
+    np.subtract(m, _MID, out=scratch)
+    np.abs(scratch, out=scratch)
+    guard = scratch >= _HALF
+    mi = np.rint(m, out=scratch)
+    np.subtract(m, mi, out=m)
+    np.abs(m, out=m)
+    guard |= m >= 0.499
+    # hi = floor(mi 1e-6 + 5e-7) exactly: the product's error, under 3e-10,
+    # cannot carry it across an integer
+    np.multiply(mi, 1e-6, out=m)
+    m += 5e-7
+    np.floor(m, out=m)
+    hi = m.astype(np.int32)
+    m *= 1e6
+    mi -= m
+    del m
+    return j, hi, mi.astype(np.int32), np.flatnonzero(guard)
 
 
 def _law_digest(law) -> str:
@@ -338,20 +388,27 @@ def _cmd_exact(args, law) -> int:
 
 def _exact_blocks(rows):
     """Columns (n, y, P) of the nonzero entries of DP rows n = 0, 1, ..., y
-    ascending, in blocks of _BLOCK entries (the last one may be shorter)."""
-    pending, size = [], 0
+    ascending, in blocks of _BLOCK entries (the last one may be shorter).
+    Each row is copied straight into its block; n and y are int32, since a
+    stored table (MEMORY_CAP_FLOATS) has fewer than 2^31 rows and columns."""
+    size = 0
     for n, row in enumerate(rows):
         ys = np.flatnonzero(row)
-        pending.append((np.full(ys.size, n), ys, row[ys]))
-        size += ys.size
-        if size >= _BLOCK:
-            columns = [np.concatenate(c) for c in zip(*pending)]
-            cut = size - size % _BLOCK
-            pending, size = [tuple(c[cut:].copy() for c in columns)], size - cut
-            for start in range(0, cut, _BLOCK):
-                yield [c[start : start + _BLOCK] for c in columns]
+        done = 0
+        while done < ys.size:
+            if size == 0:
+                block = [np.empty(_BLOCK, np.int32), np.empty(_BLOCK, np.int32), np.empty(_BLOCK)]
+            k = min(ys.size - done, _BLOCK - size)
+            part = ys[done : done + k]
+            block[0][size : size + k] = n
+            block[1][size : size + k] = part
+            row.take(part, mode="clip", out=block[2][size : size + k])  # "raise" would copy out
+            size, done = size + k, done + k
+            if size == _BLOCK:
+                yield block
+                size = 0
     if size:
-        yield [np.concatenate(c) for c in zip(*pending)]
+        yield [c[:size] for c in block]
 
 
 def _cmd_constants(args, law) -> int:

@@ -26,8 +26,9 @@ class RootClusterUnresolved(ReflectWalkError):
 
 
 class DegenerateLaw(ReflectWalkError):
-    """The law is too close to a point mass for its ladder laws: the weak
-    ascent leaves no stay mass to renew from."""
+    """The law is too close to a point mass for its ladder laws: its
+    variance is below the floor the s = 1 factorization can resolve, or the
+    weak ascent leaves no stay mass to renew from."""
 
 
 class NotCentered(ReflectWalkError):
@@ -61,6 +62,10 @@ class InvalidInput(ReflectWalkError, ValueError):
 
 class InvalidSimConfig(InvalidInput):
     """A Monte Carlo config field, checkpoint or thread setting is out of range."""
+
+
+class NonFiniteOutput(ReflectWalkError):
+    """A number to be printed is NaN or infinite; no emitter writes one."""
 
 
 class NoReflectionsObserved(ReflectWalkError):

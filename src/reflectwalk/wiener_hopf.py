@@ -25,7 +25,7 @@ from .errors import (
     RootClusterUnresolved,
     SlopeMismatch,
 )
-from .laws import DRIFT_TOL, LatticeLaw, mgf, moments
+from .laws import DRIFT_TOL, MASS_SUM_TOL, LatticeLaw, mgf, moments
 
 CIRCLE_TOL = 1e-8  # roots this close to |z| = 1 cannot be classified
 # two-point Richardson at these distances from s = 1 leaves truncation error
@@ -36,6 +36,11 @@ CIRCLE_TOL = 1e-8  # roots this close to |z| = 1 cannot be classified
 RICHARDSON_EPS = (1e-7, 2.5e-8)
 RICHARDSON_S = tuple(1.0 - eps for eps in RICHARDSON_EPS)  # where the oracles factorize
 SLOPE_REL_TOL = 1e-3
+# A centered law's mass off 0 is at most its variance, since every step off
+# 0 has |k| >= 1. Below the mass-sum tolerance that mass is inside the error
+# the masses may carry, and the s = 1 factorization cannot resolve the
+# ladder laws.
+VARIANCE_FLOOR = MASS_SUM_TOL
 
 
 def _require_centered(law: LatticeLaw):
@@ -271,9 +276,15 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
         depth = default_depth(law)
     if depth < 0:
         raise InvalidInput(f"potential depth must be >= 0, got {depth}")
+    _, variance = moments(law)
+    if variance < VARIANCE_FLOOR:
+        raise DegenerateLaw(
+            f"the law is too close to a point mass for its ladder laws: variance {variance:.3e} is "
+            f"below the floor {VARIANCE_FLOOR:.0e}, where the stay mass 1 - P[weak ascent height 0] "
+            f"cannot be resolved"
+        )
     fp = factorize_at(law, 1.0)
     mu_minus, mu_plus = fp.phi_minus, fp.phi_plus
-    _, variance = moments(law)
     stay = 1.0 - mu_plus[0]  # the ascent potential renews from it: U+(0) = 1 / stay
     if not stay > 0.0:
         raise DegenerateLaw(

@@ -6,6 +6,7 @@ import pytest
 from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
+    InvalidInput,
     NegativeDriftUnsupported,
     NotCentered,
     Regime,
@@ -246,6 +247,12 @@ class TestTiltingIdentity:
 
     def test_depth_cap(self, law_b):
         with pytest.raises(ValueError):
+            tilting_identity_check(law_b, 9)
+
+    def test_depth_cap_at_its_value(self, law_b):
+        # n = 8 enumerates all 3^8 paths; n = 9 is refused before any is built
+        assert tilting_identity_check(law_b, 8) < 1e-14
+        with pytest.raises(InvalidInput, match="capped at n = 8"):
             tilting_identity_check(law_b, 9)
 
 

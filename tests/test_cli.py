@@ -29,7 +29,10 @@ from reflectwalk import (
     tilt,
     wiener_hopf,
 )
-from reflectwalk.cli import _BLOCK, _HALF, _MID, _P10, _centered_base, _emit_csv, _exact_blocks, main
+from reflectwalk.cli import (
+    _BLOCK, _HALF, _MID, _P10, _centered_base, _emit_csv, _emit_json, _exact_blocks, main,
+)
+from reflectwalk.errors import NonFiniteOutput
 from reflectwalk.reflection import e_value
 from conftest import dense_law, golden_mismatch
 
@@ -262,6 +265,33 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.count("\n") == 1 and err.startswith("error:") and "stay mass" in err and "variance" in err
+
+    @pytest.mark.parametrize("argv", [["ladder"], ["constants", "--y", "0", "--no-oracle"]], ids=["ladder", "constants"])
+    def test_variance_below_the_floor_is_two(self, argv, tmp_path, capsys):
+        # masses (e, 1, e) / (1 + 2e) on {-2, 0, 1} at e = 1e-17: the error
+        # names the variance, not the count of factorization roots
+        e = 1e-17
+        law = tmp_path / "lazy.json"
+        law.write_text(json.dumps({"masses": {"-2": e / (1 + 2 * e), "0": 1 / (1 + 2 * e), "1": e / (1 + 2 * e)}}))
+        code, out, err = run([argv[0], "--law", str(law), *argv[1:]], capsys)
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "variance 5.000e-17 is below the floor" in err and "roots" not in err
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_output_is_two(self, bad, monkeypatch, capsys):
+        # a non-finite number reaches neither the CSV nor the JSON emitter's stdout
+        def rows(law, start, n):
+            yield np.array([0.5, bad, 0.25])
+
+        monkeypatch.setattr(cli, "n_step_rows", rows)
+        monkeypatch.setattr(cli, "moments", lambda law: (bad, 1.0))
+        for argv in (["exact", "--law", LAW_A, "--start", "0", "--n", "1"], ["analyze", "--law", LAW_A]):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and err.startswith("error:") and "not finite" in err
 
     @pytest.mark.parametrize(
         "argv,field",
@@ -505,8 +535,15 @@ class TestCsvWriter:
     @given(csv_blocks())
     @example(([np.array([7]), np.array([5e-324]), np.array([-0.0])], [(7, 5e-324, -0.0)]))
     def test_columns_match_per_value_lines(self, block):
+        # a block holding NaN or an infinity is refused whole, with nothing written
         columns, rows = block
-        assert write_csv([columns]) == "h\n" + "".join(map(reference_line, rows))
+        if any(isinstance(v, float) and not math.isfinite(v) for row in rows for v in row):
+            buf = io.StringIO()
+            with contextlib.redirect_stdout(buf), pytest.raises(NonFiniteOutput):
+                _emit_csv("h", [columns])
+            assert buf.getvalue() == ""
+        else:
+            assert write_csv([columns]) == "h\n" + "".join(map(reference_line, rows))
 
     @given(
         st.lists(
@@ -557,6 +594,64 @@ class TestCsvWriter:
         assert ns.tolist() == [n for n, w in enumerate(widths) for _ in range(w)]
         assert ys.tolist() == [y for w in widths for y in range(w)]
         assert ps.tolist() == [y + 1.0 for w in widths for y in range(w)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_float_raises_before_its_block_is_written(self, bad):
+        # the first block is written; the second, with its one bad entry, is not
+        first = [np.arange(3), np.array([0.5, 0.25, 1e-300])]
+        second = [np.arange(3, 6), np.array([0.125, bad, 0.0])]
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(NonFiniteOutput, match="not finite"):
+            _emit_csv("h", [first, second])
+        assert buf.getvalue() == "h\n0,0.5\n1,0.25\n2,1e-300\n"
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    def test_non_finite_json_value_raises_before_writing(self, bad):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), pytest.raises(NonFiniteOutput, match="not finite"):
+            _emit_json({"checks": [{"value": 1.0}, {"value": bad}]})
+        assert buf.getvalue() == ""
+
+    def test_periodic_law_across_blocks_matches_reference(self, tmp_path, capsys):
+        # rows of {-1, 1} hold a zero between every two entries, which exact omits
+        path = tmp_path / "periodic.json"
+        path.write_text('{"masses": {"-1": 0.5, "1": 0.5}}')
+        code, out, _ = run(["exact", "--law", str(path), "--start", "0", "--n", "180"], capsys)
+        assert code == 0
+        table = n_step_table(load_law(str(path)), 0, 180)
+        assert sum(np.count_nonzero(row) for row in table) > 2 * _BLOCK
+        assert out == reference_exact(table)
+
+    def test_two_group_states_across_a_block_edge_match_reference(self, capsys):
+        # y runs from 940 to 1040: the block that holds entry _BLOCK prints both
+        # one and two 3-digit groups in its y column
+        code, out, _ = run(["exact", "--law", LAW_A, "--start", "990", "--n", "50"], capsys)
+        assert code == 0
+        table = n_step_table(load_law(LAW_A), 990, 50)
+        ys = np.concatenate([np.flatnonzero(row) for row in table])
+        assert ys.size > _BLOCK and ys[_BLOCK - 1] < 1000 <= ys[_BLOCK:].max()
+        assert out == reference_exact(table)
+
+    def test_guarded_entries_on_both_sides_of_a_block_edge(self):
+        # entries _BLOCK - 2 .. _BLOCK + 1 take their text from Python: a near
+        # tie, 1.0 (m = 1e11), a subnormal and a value that rounds up to 10^-4
+        values = np.linspace(0.01, 0.9, 2 * _BLOCK + 7)
+        values[_BLOCK - 2 : _BLOCK + 2] = [0.1234567890125, 1.0, 5e-324, 9.9999999999995e-05]
+        rows = [values[:100], values[100:]]
+        guard = cli._mantissas(values[100:])[3] + 100
+        assert {_BLOCK - 2, _BLOCK - 1, _BLOCK, _BLOCK + 1} <= set(guard.tolist())
+        assert write_csv(_exact_blocks(rows)) == "h\n" + reference_exact(rows).split("\n", 1)[1]
+
+    def test_row_wider_than_a_block_matches_reference(self, tmp_path, capsys):
+        # steps up to +30: row 100 holds about 3,000 entries, split over two blocks
+        path = tmp_path / "wide.json"
+        masses = {"-1": 0.5, **{str(k): 0.5 / 30 for k in range(1, 31)}}
+        path.write_text(json.dumps({"masses": masses}))
+        code, out, _ = run(["exact", "--law", str(path), "--start", "0", "--n", "100"], capsys)
+        assert code == 0
+        table = n_step_table(load_law(str(path)), 0, 100)
+        assert np.count_nonzero(table[-1]) > _BLOCK
+        assert out == reference_exact(table)
 
     def test_exact_on_random_law_matches_reference(self, tmp_path, capsys):
         rng = np.random.default_rng(8)

@@ -240,6 +240,15 @@ class TestCaps:
         with pytest.raises(HorizonTooLarge, match="paths"):
             SimConfig(law_a, 0, 1, 10**9 + 1, 0)
 
+    def test_path_steps_cap_on_a_long_horizon(self, law_a):
+        # paths * horizon exactly at the cap with both factors large, then one more path
+        horizon = STREAMING_N_MAX_CAP
+        paths = montecarlo.PATH_STEPS_CAP // horizon
+        assert paths * horizon == montecarlo.PATH_STEPS_CAP
+        SimConfig(law_a, 0, horizon, paths, 0)
+        with pytest.raises(HorizonTooLarge, match="paths"):
+            SimConfig(law_a, 0, horizon, paths + 1, 0)
+
     def test_caps_are_the_readme_values(self):
         readme = " ".join((Path(__file__).parents[1] / "README.md").read_text().split())
         caps = [

@@ -263,6 +263,13 @@ class TestEigenvalueAndResolvent:
         assert nu_rt == pytest.approx(-2 * SQRT3, abs=1e-12)
         assert abs((1.0 - lam) / math.sqrt(eps) + nu_rt) < 0.05 * abs(nu_rt)
 
+    def test_power_iteration_stops_at_its_tolerance(self):
+        # from the start (1/2, 1/2), diag(t + u, t - u) moves the estimate from 0
+        # to exactly t = EIGEN_TOL in one step, its residual far under the gate:
+        # it stops there, where one more step would move it by about 2 (u/t)^2 t
+        t, u = reflection.EIGEN_TOL, 2.0**-60
+        assert dominant_eigenvalue(np.diag([t + u, t - u])) == t
+
     def test_resolvent_identity_kernel(self):
         g, ext = resolvent_apply(np.zeros((2, 2)), np.array([1.0, 2.0]))
         assert g == pytest.approx([1.0, 2.0])
@@ -292,6 +299,15 @@ class TestEigenvalueAndResolvent:
         assert g == pytest.approx([1e6])
         with pytest.raises(NotInvertibleCentered):
             resolvent_apply([[1 - 1e-13]], [1.0])
+
+    def test_resolvent_margin_at_its_value(self):
+        # a spectral radius of exactly 1 - 1e-12 has no resolvent; the next float below has one
+        edge = 1.0 - 1e-12
+        with pytest.raises(NotInvertibleCentered):
+            resolvent_apply([[edge]], [1.0])
+        below = float(np.nextafter(edge, 0.0))
+        g, _ = resolvent_apply([[below]], [1.0])
+        assert g == pytest.approx([1.0 / (1.0 - below)], rel=1e-12)
 
     def test_resolvent_rejects_ill_conditioned(self):
         core = np.array([[0.5, 1e7], [0.0, 0.5]])

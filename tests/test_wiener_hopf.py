@@ -132,12 +132,35 @@ class TestLadderLaws:
     @pytest.mark.parametrize("e", [1e-17, 1e-18, 1e-30])
     def test_near_point_mass_names_stay_mass_and_variance(self, e):
         # (e, 1, e) / (1 + 2e) is a valid centered law, but its s = 1 factorization
-        # puts all the weak ascent's mass at height 0: U+(0) = 1 / stay has no value
+        # puts all the weak ascent's mass at height 0: U+(0) = 1 / stay has no value.
+        # Its variance is below the floor, which names the cause before factorizing.
         law = law_from_masses({-1: e / (1 + 2 * e), 0: 1 / (1 + 2 * e), 1: e / (1 + 2 * e)})
         assert factorize_at(law, 1.0).phi_plus[0] == 1.0
-        with pytest.raises(DegenerateLaw, match=r"stay mass .*= 0\.000e\+00 at variance") as info:
+        floor = r"variance .* below the floor 1e-12, where the stay mass"
+        with pytest.raises(DegenerateLaw, match=floor) as info:
             ladder_laws(law)
         assert f"{moments(law)[1]:.3e}" in str(info.value)
+
+    @pytest.mark.parametrize("e", [1e-13, 1e-17])
+    @pytest.mark.parametrize(
+        "support", [(-1, 0, 1), (-2, 0, 1), (-1, 0, 2)], ids=["-1,0,1", "-2,0,1", "-1,0,2"]
+    )
+    def test_variance_below_the_floor_is_degenerate(self, support, e):
+        # masses (e, 1, e) / (1 + 2e): on {-2, 0, 1} at e = 1e-17 the root count
+        # failed first, and at e = 1e-13 the ladder laws were built from noise
+        law = law_from_masses({k: m / (1 + 2 * e) for k, m in zip(support, (e, 1.0, e))})
+        variance = moments(law)[1]
+        assert variance < wiener_hopf.VARIANCE_FLOOR
+        with pytest.raises(DegenerateLaw, match=f"variance {variance:.3e} is below the floor"):
+            ladder_laws(law)
+
+    def test_no_stay_mass_above_the_floor_is_degenerate(self, law_a, monkeypatch):
+        # a factorization that leaves no stay mass still gets the typed error
+        fp = factorize_at(law_a, 1.0)
+        flat = dataclasses.replace(fp, phi_plus=np.array([1.0, 0.0]))
+        monkeypatch.setattr(wiener_hopf, "factorize_at", lambda law, s: flat)
+        with pytest.raises(DegenerateLaw, match=r"stay mass .*= 0\.000e\+00 at variance 6\.667e-01"):
+            ladder_laws(law_a)
 
     def test_renewal_theorem_limit(self, law_a, law_p5, law_asym):
         for law in (law_a, law_p5, law_asym):
@@ -164,6 +187,12 @@ class TestLadderLaws:
 
 
 class TestSlopes:
+    def test_slope_gate_at_its_value(self):
+        # an error of exactly SLOPE_REL_TOL passes the gate; the next float above fails it
+        wiener_hopf._require_slopes(SLOPE_REL_TOL, "slopes")
+        with pytest.raises(SlopeMismatch, match="slopes deviate"):
+            wiener_hopf._require_slopes(float(np.nextafter(SLOPE_REL_TOL, 1.0)), "slopes")
+
     def test_law_a_values(self, law_a):
         ladder = ladder_laws(law_a)
         table = slopes(law_a, ladder)

@@ -30,6 +30,7 @@ ASYM = "src/reflectwalk/asymptotics.py"
 LAWS = "src/reflectwalk/laws.py"
 CHAIN = "src/reflectwalk/chain.py"
 MC = "src/reflectwalk/montecarlo.py"
+CLI = "src/reflectwalk/cli.py"
 
 MUTANTS = [
     (WH, "SLOPE_REL_TOL = 1e-3", "SLOPE_REL_TOL = 1e-1",
@@ -76,6 +77,18 @@ MUTANTS = [
      "the fused step multiplies each window row by its own tap, in the order the reduce adds them"),
     (CHAIN, "series[n] = dest[j]", "series[n] = dest[j - 1]",
      "a streamed walk reads each entry and landing slot at its own buffer index"),
+    (ASYM, "if n > 8:", "if n >= 8:",
+     "the exhaustive tilting check runs at its cap, n = 8"),
+    (REFL, "lam >= 1.0 - 1e-12", "lam > 1.0 - 1e-12",
+     "a core of spectral radius exactly 1 - 1e-12 has no resolvent"),
+    (WH, "if err > SLOPE_REL_TOL:", "if err >= SLOPE_REL_TOL:",
+     "a slope error of exactly SLOPE_REL_TOL passes the gate"),
+    (REFL, "abs(lam_new - lam) <= EIGEN_TOL * scale", "abs(lam_new - lam) < EIGEN_TOL * scale",
+     "power iteration stops once the eigenvalue moves by at most EIGEN_TOL"),
+    (CLI, "if not all(map(math.isfinite, values)):", "if False:",
+     "a NaN or infinite CSV value raises instead of printing"),
+    (CLI, "hi = m.astype(np.int32)", "hi = m.astype(np.int8)",
+     "the array that holds the digit groups g0 g1, then g1 and g2, must hold 0..999"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
