@@ -2,7 +2,9 @@
 
 Increments bounded below by -a force every reflection to land in [1, a], so
 the kernel's columns vanish outside that window and every "infinite matrix"
-here reduces to an a x a core plus explicitly computed boundary rows.
+here reduces to an a x a core plus explicitly computed boundary rows. The
+rows of a window, and their slopes, come from one product table per operand
+pair (`_kernel_rows`).
 """
 
 from __future__ import annotations
@@ -48,20 +50,29 @@ def _renewal_sum(u_minus: np.ndarray, u_plus: np.ndarray, x: int, y: int) -> flo
     return math.fsum((u_minus[x - n + 1 : x + 1] * u_plus[y - n + 1 : y + 1]).tolist())
 
 
-def _kernel_row(u_minus: np.ndarray, phi_minus: np.ndarray, x: int) -> np.ndarray:
-    """sum_k u_minus[x - k] phi_minus[k + y - 1] over k = 0..min(x, a - y), for
-    y = 1..a (a = len(phi_minus)): the renewal sum against phi_minus read
-    backwards, at a - y. Fed a potential and a descent law at one s, or one of
-    them and the other's slope."""
-    a = phi_minus.shape[0]
-    rows = min(x, a - 1) + 1
-    # products[k][j] = u_minus[x - k] phi_minus[j], flattened: entry y sums
-    # the diagonal j = k + y - 1, every (a + 1)-th item from y - 1
-    products = np.multiply.outer(u_minus[x - rows + 1 : x + 1][::-1], phi_minus).ravel().tolist()
-    return np.array([
-        math.fsum(products[y - 1 : (y - 1) + min(rows, a - y + 1) * (a + 1) : a + 1])
-        for y in range(1, a + 1)
-    ])
+def _kernel_rows(u_minus: np.ndarray, phi_minus: np.ndarray, xs) -> dict[int, np.ndarray]:
+    """For each x of xs, sum_k u_minus[x - k] phi_minus[k + y - 1] over
+    k = 0..min(x, a - y), for y = 1..a (a = len(phi_minus)): the renewal sum
+    against phi_minus read backwards, at a - y. Fed a potential and a descent
+    law at one s, or one of them and the other's slope. Each entry is the fsum
+    of one anti-diagonal of one product table, so its bits do not depend on
+    which rows are built together."""
+    xs = [int(x) for x in xs]
+    _require_states(x=min(xs, default=0))
+    top, a = max(xs, default=0), phi_minus.shape[0]
+    if top >= u_minus.shape[0]:
+        raise InvalidInput(f"kernel row at x={top} needs potential depth >= {top}, have {u_minus.shape[0] - 1}")
+    lo = max(min(xs, default=0) - a + 1, 0)  # no anti-diagonal reaches below row lo
+    # table[i - lo][j] = u_minus[i] phi_minus[j], flattened: entry (x, y) sums the
+    # min(x, a - y) + 1 items up to (x - lo) a + y - 1, a - 1 apart (a = 1: one item)
+    flat, step = np.multiply.outer(u_minus[lo : top + 1], phi_minus).ravel().tolist(), max(a - 1, 1)
+    return {
+        x: np.array([
+            math.fsum(flat[(x - lo) * a + y - 1 - min(x, a - y) * step : (x - lo) * a + y : step])
+            for y in range(1, a + 1)
+        ])
+        for x in xs
+    }
 
 
 def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
@@ -71,27 +82,24 @@ def r_row(ladder: LadderSystem, x: int) -> np.ndarray:
     visits the level x - w, then a single ladder step carries it below 0,
     landing on -y (which reflects to y).
     """
-    if x > ladder.depth:
-        raise InvalidInput(
-            f"kernel row at x={x} needs potential depth >= {x}, have {ladder.depth}"
-        )
-    return _kernel_row(ladder.U_minus, ladder.mu_minus, x)
+    return r_rows(ladder, [x])[int(x)]
 
 
 def r_rows(ladder: LadderSystem, xs) -> dict[int, np.ndarray]:
-    return {int(x): r_row(ladder, int(x)) for x in xs}
+    """`r_row` for each x, from one product table."""
+    return _kernel_rows(ladder.U_minus, ladder.mu_minus, xs)
 
 
 def r_core(ladder: LadderSystem) -> np.ndarray:
     """The a x a block of the kernel on states [1, a]."""
-    return np.array([r_row(ladder, x) for x in range(1, ladder.a + 1)])
+    return np.array(list(r_rows(ladder, range(1, ladder.a + 1)).values()))
 
 
 def r_row_at_s(law: LatticeLaw, s: float, x: int, fp: FactorPair | None = None) -> np.ndarray:
     """Row x of the s-weighted reflection kernel R_s, from the factorization at s."""
     if fp is None:
         fp = factorize_at(law, s)
-    return _kernel_row(u_minus_at(fp, x), fp.phi_minus, x)
+    return _kernel_rows(u_minus_at(fp, x), fp.phi_minus, [x])[int(x)]
 
 
 def _stationary_weights(mu_minus: np.ndarray) -> np.ndarray:
@@ -146,13 +154,8 @@ def doeblin_gap(ladder: LadderSystem, rows: dict[int, np.ndarray]) -> float:
 
 
 def r_tilde_row(ladder: LadderSystem, slope_table: SlopeTable, x: int) -> np.ndarray:
-    """Row x of the sqrt(1-s) slope of the reflection kernel at s = 1.
-
-    Two terms: the slope can sit in the renewal part (descent potential) or
-    in the final overshoot step.
-    """
-    renewal = _kernel_row(slope_table.slope_U_minus, ladder.mu_minus, x)
-    return renewal + _kernel_row(ladder.U_minus, slope_table.slope_T_minus, x)
+    """Row x of the sqrt(1-s) slope of the reflection kernel at s = 1."""
+    return r_tilde_rows(ladder, slope_table, [x])[int(x)]
 
 
 def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict) -> float:
@@ -166,7 +169,7 @@ def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict
     """
     def table(fp: FactorPair) -> np.ndarray:
         u = u_minus_at(fp, max(tilde_rows))
-        return np.array([_kernel_row(u, fp.phi_minus, x) for x in tilde_rows])
+        return np.array(list(_kernel_rows(u, fp.phi_minus, tilde_rows).values()))
 
     closed = np.array(list(tilde_rows.values()))
     scale = max(float(np.max(np.abs(closed))), 1.0)
@@ -174,8 +177,11 @@ def kernel_slope_oracle_error(ladder: LadderSystem, rows: dict, tilde_rows: dict
 
 
 def r_tilde_rows(ladder: LadderSystem, slope_table: SlopeTable, xs) -> dict[int, np.ndarray]:
-    """Slope rows for each x."""
-    return {int(x): r_tilde_row(ladder, slope_table, int(x)) for x in xs}
+    """Slope rows for each x. Two terms: the slope can sit in the renewal
+    part (descent potential) or in the final overshoot step."""
+    renewal = _kernel_rows(slope_table.slope_U_minus, ladder.mu_minus, xs)
+    overshoot = _kernel_rows(ladder.U_minus, slope_table.slope_T_minus, xs)
+    return {x: renewal[x] + overshoot[x] for x in renewal}
 
 
 @dataclass(frozen=True, eq=False)

@@ -13,6 +13,7 @@ reaches them at rate n^(-1/2) and serves as the oracle.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -20,6 +21,7 @@ import numpy as np
 from .errors import (
     ConvergenceFailure,
     DegenerateLaw,
+    HorizonTooLarge,
     InvalidInput,
     NotCentered,
     RootClusterUnresolved,
@@ -41,6 +43,7 @@ SLOPE_REL_TOL = 1e-3
 # the masses may carry, and the s = 1 factorization cannot resolve the
 # ladder laws.
 VARIANCE_FLOOR = MASS_SUM_TOL
+POTENTIAL_DEPTH_CAP = 1_000_000  # entries past 0 of one renewal potential
 
 
 def _require_centered(law: LatticeLaw):
@@ -313,16 +316,29 @@ def ladder_laws(law: LatticeLaw, depth: int | None = None) -> LadderSystem:
 
 def _potential(taps: np.ndarray, depth: int, stay: float = 1.0) -> np.ndarray:
     """Renewal potential u, k = 0..depth: u[0] = 1 / stay and
-    u[k] = sum_j taps[j-1] u[k-j] / stay over j = 1..min(k, len(taps))."""
+    u[k] = sum_j taps[j-1] u[k-j] / stay over j = 1..min(k, len(taps)).
+
+    Once the newest len(taps) + 1 values are one positive c, the step that
+    made the last c read len(taps) copies of c, as every later step would:
+    the rest of u is c, with the bits the loop would give it."""
+    if depth > POTENTIAL_DEPTH_CAP:
+        raise HorizonTooLarge(f"potential depth {depth} exceeds cap {POTENTIAL_DEPTH_CAP}")
     # Python floats, summed j = 1 first; not sum(), which compensates on 3.12+
     t, stay = taps.tolist(), float(stay)
     m = len(t)
     u = [1.0 / stay]
+    window, run = deque(u, maxlen=m), 1  # newest first; run: equal values at the end
     for k in range(1, depth + 1):
         acc = 0.0
-        for tap, v in zip(t, reversed(u[max(0, k - m) : k])):
+        for tap, v in zip(t, window):
             acc += tap * v
-        u.append(acc / stay)
+        v = acc / stay
+        run = run + 1 if v == u[-1] else 1
+        u.append(v)
+        if run > m and v > 0.0:
+            u += [v] * (depth - k)
+            break
+        window.appendleft(v)
     return np.array(u)
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from reflectwalk import LatticeLaw, factorize_at, law_from_masses, minimize_mgf, tilt
+from reflectwalk import LatticeLaw, factorize_at, law_from_masses, minimize_mgf, reflection, tilt
 from reflectwalk.chain import TINY
 from reflectwalk.reflection import _renewal_sum
 from reflectwalk.wiener_hopf import u_minus_at, u_plus_at
@@ -142,6 +142,26 @@ def e_value_at_s(law: LatticeLaw, s: float, x: int, y: int) -> float:
     tilt conjugation are checked against."""
     fp = factorize_at(law, s)
     return _renewal_sum(u_minus_at(fp, x), u_plus_at(fp, y), x, y)
+
+
+def record_kernel_rows(monkeypatch) -> list:
+    """Patch `reflection._kernel_rows` to record (u_minus, phi_minus, xs) of every call."""
+    calls, build = [], reflection._kernel_rows
+
+    def recording(u_minus, phi_minus, xs):
+        calls.append((u_minus, phi_minus, list(xs)))
+        return build(u_minus, phi_minus, xs)
+
+    monkeypatch.setattr(reflection, "_kernel_rows", recording)
+    return calls
+
+
+def rows_built(calls: list, ladder, table) -> list:
+    """The x of every recorded row, per operand pair: kernel rows, then the
+    renewal and the overshoot term of the slope rows."""
+    pairs = [(ladder.U_minus, ladder.mu_minus), (table.slope_U_minus, ladder.mu_minus),
+             (ladder.U_minus, table.slope_T_minus)]
+    return [[x for u, phi, xs in calls if u is want_u and phi is want_phi for x in xs] for want_u, want_phi in pairs]
 
 
 def golden_mismatch(name: str, out: str, golden: str, limit: int = 40) -> str:

@@ -34,7 +34,7 @@ from reflectwalk.cli import (
 )
 from reflectwalk.errors import NonFiniteOutput
 from reflectwalk.reflection import e_value
-from conftest import dense_law, golden_mismatch
+from conftest import dense_law, golden_mismatch, record_kernel_rows, rows_built
 
 LAWS = Path(__file__).parent / "laws"
 GOLDEN = Path(__file__).parent / "golden"
@@ -163,23 +163,23 @@ def test_validate_walks_each_identity_start_once(law_path, monkeypatch, capsys):
 def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):
     # one row and one slope row per window state: the stationarity solve, the
     # kernel oracle and (for the drifted lawB) the conjugation read the core's
-    calls = {"r_row": 0, "r_tilde_row": 0}
-    for name in calls:
-        fn = getattr(reflection, name)
+    calls, cores = record_kernel_rows(monkeypatch), []
+    build = asymptotics.build_reflection_core
 
-        def counting(*args, _name=name, _fn=fn):
-            calls[_name] += 1
-            return _fn(*args)
+    def recording(ladder, table):
+        cores.append((ladder, table))
+        return build(ladder, table)
 
-        monkeypatch.setattr(reflection, name, counting)
-        monkeypatch.setattr(asymptotics, name, counting)
+    monkeypatch.setattr(asymptotics, "build_reflection_core", recording)
     for law_path in (LAW_A, LAW_B):
-        calls.update(r_row=0, r_tilde_row=0)
+        calls.clear()
+        cores.clear()
         argv = ["constants", "--law", law_path, "--x", "1", "--y", "1", "--no-oracle", "--dump-internals"]
         code, out, _ = run(argv, capsys)
         assert code == 0
-        window = len(json.loads(out)["internals"]["R_rows"])
-        assert calls == {"r_row": window, "r_tilde_row": window}, law_path
+        window = list(range(len(json.loads(out)["internals"]["R_rows"])))
+        [(ladder, table)] = cores
+        assert rows_built(calls, ladder, table) == [window] * 3, law_path
 
 
 def test_dump_internals_builds_each_excursion_value_once(tmp_path, monkeypatch, capsys):
@@ -430,6 +430,17 @@ class TestSimulateAndCompare:
         assert out == ""
         assert err.count("\n") == 1 and "cap" in err
 
+    def test_potential_depth_cap(self, capsys):
+        # lawA has one tap a side, so the potentials at the cap are fast
+        code, out, _ = run(["ladder", "--law", LAW_A, "--depth", str(wiener_hopf.POTENTIAL_DEPTH_CAP)], capsys)
+        assert code == 0 and len(json.loads(out)["U_plus"]) == 13  # --emit-depth 12
+        past = str(wiener_hopf.POTENTIAL_DEPTH_CAP + 1)
+        for argv in (["ladder", "--law", LAW_A, "--depth", past], ["constants", "--law", LAW_A, "--y", past]):
+            code, out, err = run(argv, capsys)
+            assert code == 2
+            assert out == ""
+            assert err.count("\n") == 1 and "exceeds cap" in err
+
     def test_compare_table(self, capsys):
         argv = ["compare", "--law", LAW_A, "--y", "0", "--n-max", "512",
                 "--paths", "20000", "--seed", "3"]
@@ -672,13 +683,16 @@ class TestCsvWriter:
 
 def test_exact_memory_stays_near_the_stored_table(tmp_path, monkeypatch):
     """`exact` streams the DP: it holds a row and that row's text, far less
-    than the stored table."""
+    than the stored table. A warm call first builds the cached parser, so
+    only the streaming is measured, whatever ran before."""
     table_bytes = sum(row.nbytes for row in n_step_table(load_law(LAW_A), 0, 400))
+    argv = ["exact", "--law", LAW_A, "--start", "0", "--n", "400"]
     with open(tmp_path / "exact.csv", "w") as out:
         monkeypatch.setattr(sys, "stdout", out)
+        assert main(argv) == 0
         tracemalloc.start()
         try:
-            assert main(["exact", "--law", LAW_A, "--start", "0", "--n", "400"]) == 0
+            assert main(argv) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -7,14 +7,28 @@ Factor pairs at s < 1 and the ascent potential cover stay != 1; validate's
 s = 0.99 and a law with a = 1 cover the circle residual's lhs at z^-1.
 """
 
+import math
 import operator
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reflectwalk import build_reflection_core, factorize_at, ladder_laws, law_from_masses, minimize_mgf, slopes, tilt
+from reflectwalk import (
+    ReflectWalkError,
+    asymptotic_law,
+    build_reflection_core,
+    factorize_at,
+    ladder_laws,
+    law_from_masses,
+    minimize_mgf,
+    slopes,
+    tilt,
+)
 from reflectwalk import wiener_hopf
-from reflectwalk.reflection import _kernel_row, _renewal_sum, _stationary_weights
+from reflectwalk.laws import MASS_SUM_TOL
+from reflectwalk.reflection import _kernel_rows, _renewal_sum, _stationary_weights
 from reflectwalk.wiener_hopf import (
     RICHARDSON_S,
     _circle_gaps,
@@ -81,14 +95,35 @@ def test_laws_reach_the_widest_window(laws, pairs):
     assert any(1.0 - fp.phi_plus[0] != 1.0 for _, fp in pairs if fp.s < 1.0)
 
 
+def settles_at(u: np.ndarray, m: int):
+    """The first k whose u[k - m..k] are one positive value, or None."""
+    for k in range(m, u.shape[0]):
+        if u[k] > 0.0 and np.all(u[k - m : k + 1] == u[k]):
+            return k
+    return None
+
+
 class TestPotential:
     def test_descent_and_ascent_potentials(self, pairs):
+        # four times the default depth, past the fixed point of most of them
         for law, fp in pairs:
-            depth = default_depth(law)
+            depth = 4 * default_depth(law)
             assert same_bits(_potential(fp.phi_minus, depth), potential_reference(fp.phi_minus, depth))
             stay = 1.0 - fp.phi_plus[0]
             want = potential_reference(fp.phi_plus[1:], depth, stay)
             assert same_bits(_potential(fp.phi_plus[1:], depth, stay), want), (law.a, law.b, fp.s)
+
+    def test_some_potentials_settle_before_the_default_depth(self, pairs):
+        # the reference reaches an exact fixed point, so the stop fires; not
+        # every potential gets there, so the loop to full depth runs too
+        settled = []
+        for law, fp in pairs:
+            if fp.s == 1.0:
+                depth = default_depth(law)
+                settled.append(settles_at(potential_reference(fp.phi_minus, depth), law.a))
+                u_plus = potential_reference(fp.phi_plus[1:], depth, 1.0 - fp.phi_plus[0])
+                settled.append(settles_at(u_plus, law.b))
+        assert any(k is not None for k in settled) and None in settled
 
     def test_reversed_order_is_told_apart(self, pairs):
         # negative control: summing the taps last-first changes some bit
@@ -114,6 +149,8 @@ class TestRenewalSums:
                         assert same_bits(got, renewal_sum_reference(u_minus, u_plus, x, y)), (x, y)
 
     def test_kernel_rows(self, systems):
+        # one product table per window; the slope operands hold negative entries
+        assert any(law.a == 1 for law, _, _ in systems)
         for law, ladder, table in systems:
             xs = range(0, max(2 * law.a, 8) + 1)
             operands = [
@@ -125,9 +162,12 @@ class TestRenewalSums:
                 fp = ladder.factor_pair(s)
                 operands.append((u_minus_at(fp, xs[-1]), fp.phi_minus))
             for u_minus, phi_minus in operands:
+                rows = _kernel_rows(u_minus, phi_minus, xs)
+                assert list(rows) == list(xs)
                 for x in xs:
                     want = kernel_row_reference(u_minus, phi_minus, x)
-                    assert same_bits(_kernel_row(u_minus, phi_minus, x), want), (law.a, x)
+                    assert same_bits(rows[x], want), (law.a, x)
+                    assert same_bits(_kernel_rows(u_minus, phi_minus, [x])[x], want), (law.a, x)
 
 
 class TestFactorization:
@@ -243,3 +283,64 @@ def test_stationary_weights(systems):
     law, ladder, table = systems[0]
     core = build_reflection_core(ladder, table)
     assert same_bits(core.nu, stationary_weights_reference(ladder.mu_minus))
+
+
+# A mass near MASS_SUM_TOL, the scale the law checks resolve; lazy laws put
+# most of their mass at 0.
+TINY_MASS = st.floats(MASS_SUM_TOL / 10, MASS_SUM_TOL * 10)
+OUTER_MASS = st.one_of(st.floats(0.01, 1.0), TINY_MASS)
+INNER_MASS = st.one_of(st.floats(0.01, 1.0), st.just(0.0), TINY_MASS)
+
+
+@st.composite
+def centered_draws(draw):
+    """Weights on [-a, b], a, b <= 8, with extra weight at 0, and a state pair."""
+    a, b = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    weights = [draw(OUTER_MASS), *(draw(INNER_MASS) for _ in range(a + b - 1)), draw(OUTER_MASS)]
+    weights[a] += draw(st.sampled_from([0.0, 1.0, 100.0, 1e6]))
+    return a, weights, draw(st.integers(0, a)), draw(st.integers(0, a))
+
+
+def finite(*values) -> bool:
+    return all(np.all(np.isfinite(np.asarray(v, dtype=float))) for v in values)
+
+
+@settings(max_examples=30, deadline=None)
+@given(centered_draws())
+def test_closed_forms_are_finite_or_typed_errors(draw):
+    """On a centered law (tilted to r0), each closed-form layer returns finite
+    values or raises a ReflectWalkError; where the ladder laws exist, the
+    potentials and the kernel rows keep the bits of the conftest references."""
+    a, weights, x, y = draw
+    total = math.fsum(weights)
+    try:
+        law = law_from_masses({k - a: w / total for k, w in enumerate(weights)})
+        law = tilt(law, minimize_mgf(law).r0)
+        ladder = ladder_laws(law)
+    except ReflectWalkError:
+        return
+    assert finite(ladder.mu_minus, ladder.mu_plus, ladder.U_minus, ladder.U_plus)
+    assert finite(ladder.sigma, ladder.mean_ladder_minus, ladder.residual)
+    fp, depth = ladder.factor_pair(1.0), ladder.depth
+    assert same_bits(ladder.U_minus, potential_reference(fp.phi_minus, depth))
+    assert same_bits(ladder.U_plus, potential_reference(fp.phi_plus[1:], depth, 1.0 - fp.phi_plus[0]))
+    xs = range(0, max(2 * law.a, 8) + 1)
+    operands = [(ladder.U_minus, ladder.mu_minus)]
+    try:
+        table = slopes(law, ladder)
+        assert finite(table.slope_T_minus, table.slope_T_plus, table.slope_U_minus, table.slope_U_plus)
+        operands += [(table.slope_U_minus, ladder.mu_minus), (ladder.U_minus, table.slope_T_minus)]
+        core = build_reflection_core(ladder, table)
+        assert finite(core.core, core.nu, core.kappa, core.slope_rel_err)
+        assert finite(list(core.rows.values()), list(core.tilde_rows.values()))
+    except ReflectWalkError:
+        pass
+    for u_minus, phi_minus in operands:
+        rows = _kernel_rows(u_minus, phi_minus, xs)
+        for x_row in xs:
+            assert same_bits(rows[x_row], kernel_row_reference(u_minus, phi_minus, x_row)), x_row
+    try:
+        result = asymptotic_law(law, x, y)
+    except ReflectWalkError:
+        return
+    assert finite(result.rho, result.beta, result.C)

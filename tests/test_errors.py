@@ -21,6 +21,7 @@ SITES = {
     "roots_z_pm s = 1": lambda: roots_z_pm(LAW_A, 1.0),
     "step_row x < 0": lambda: step_row(LAW_A, -1),
     "r_row past the depth": lambda: r_row(ladder_laws(LAW_A, depth=3), 4),
+    "r_row x < 0": lambda: r_row(ladder_laws(LAW_A), -1),
     "predict n < 1": lambda: predict(centered_constant(LAW_A, 0), 0),
     "tilting_identity_check n > 8": lambda: tilting_identity_check(LAW_B, 9),
     "mgf_derivative order 3": lambda: mgf_derivative(LAW_A, 1.0, order=3),

@@ -43,7 +43,7 @@ from reflectwalk.reflection import (
     stationary_nu,
 )
 from reflectwalk.wiener_hopf import SLOPE_REL_TOL, richardson_slope, u_minus_at, u_plus_at
-from conftest import e_value_at_s, random_laws
+from conftest import e_value_at_s, random_laws, record_kernel_rows, rows_built
 
 SQRT3 = math.sqrt(3.0)
 
@@ -318,16 +318,10 @@ class TestEigenvalueAndResolvent:
 class TestCoreBundle:
     def test_builds_each_slope_row_once(self, law_p5, ladders, monkeypatch):
         # the core's own slope check reads the rows it has just built
-        built = []
-
-        def counting(ladder, table, x):
-            built.append(x)
-            return r_tilde_row(ladder, table, x)
-
         table = slopes(law_p5, ladders["p5"])
-        monkeypatch.setattr(reflection, "r_tilde_row", counting)
+        calls = record_kernel_rows(monkeypatch)
         core = build_reflection_core(ladders["p5"], table)
-        assert sorted(built) == list(core.x_window)
+        assert rows_built(calls, ladders["p5"], table) == [list(core.x_window)] * 3
         xs = core.x_window
         assert core.slope_rel_err == reference_kernel_error(ladders["p5"], table, xs)
 

@@ -7,6 +7,7 @@ from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
     DegenerateLaw,
+    HorizonTooLarge,
     LatticeLaw,
     NotCentered,
     RootClusterUnresolved,
@@ -21,7 +22,7 @@ from reflectwalk import (
 )
 from reflectwalk import wiener_hopf
 from reflectwalk.laws import moments
-from reflectwalk.wiener_hopf import SLOPE_REL_TOL, u_minus_at, u_plus_at
+from reflectwalk.wiener_hopf import POTENTIAL_DEPTH_CAP, SLOPE_REL_TOL, _potential, u_minus_at, u_plus_at
 from conftest import random_laws
 
 SQRT3 = math.sqrt(3.0)
@@ -184,6 +185,15 @@ class TestLadderLaws:
             dp = math.fsum(polyval(s, c) for c in series)
             tail = sum(abs(c[-1]) * s ** len(c) / (1 - s) for c in series) + 400 * 1e-16
             assert abs(closed - dp) <= tail + 1e-12
+
+    def test_potential_depth_cap_at_its_value(self, law_a):
+        # one tap of mass 1 settles at once, so the potential at the cap is fast
+        u = _potential(np.array([1.0]), POTENTIAL_DEPTH_CAP)
+        assert u.shape == (POTENTIAL_DEPTH_CAP + 1,) and np.all(u == 1.0)
+        with pytest.raises(HorizonTooLarge, match="exceeds cap"):
+            _potential(np.array([1.0]), POTENTIAL_DEPTH_CAP + 1)
+        with pytest.raises(HorizonTooLarge, match="exceeds cap"):
+            ladder_laws(law_a, depth=POTENTIAL_DEPTH_CAP + 1)
 
 
 class TestSlopes:

@@ -11,6 +11,7 @@ Usage (stdlib only; one tier-1 run per entry, stopped at the first failure):
 
     python tools/mutants.py            # every entry
     python tools/mutants.py 0 3        # entries 0 and 3
+    python tools/mutants.py survivors  # the known survivors, each expected to survive
 """
 
 from __future__ import annotations
@@ -89,6 +90,21 @@ MUTANTS = [
      "a NaN or infinite CSV value raises instead of printing"),
     (CLI, "hi = m.astype(np.int32)", "hi = m.astype(np.int8)",
      "the array that holds the digit groups g0 g1, then g1 and g2, must hold 0..999"),
+    (WH, "if run > m and v > 0.0:", "if run >= m and v > 0.0:",
+     "a potential stops only after len(taps) + 1 equal values, when the step that made the last read only them"),
+    (REFL, "max(a - 1, 1)", "max(a, 1)",
+     "a kernel entry sums one anti-diagonal of the product table, a - 1 flat items apart"),
+    (WH, "if depth > POTENTIAL_DEPTH_CAP:", "if depth >= POTENTIAL_DEPTH_CAP:",
+     "a potential of exactly POTENTIAL_DEPTH_CAP entries past 0 is accepted"),
+]
+
+# Mutants that tier-1 cannot kill, each with its class in the reason:
+# equivalent (the same output) or performance-only (the same output after
+# more work). `python tools/mutants.py survivors` runs them and expects each
+# to survive; one that dies belongs in MUTANTS.
+SURVIVORS = [
+    (WH, "if run > m and v > 0.0:", "if False:",
+     "performance-only: without the stop the loop runs to full depth and gives the same bits"),
 ]
 
 IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", "*.egg-info", ".work")
@@ -118,7 +134,11 @@ def run_one(path: str, old: str, new: str) -> tuple[bool, float, str]:
 
 
 def main(argv: list[str]) -> int:
-    picked = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
+    expect_survivors = argv == ["survivors"]
+    if expect_survivors:
+        picked = SURVIVORS
+    else:
+        picked = [MUTANTS[int(i)] for i in argv] if argv else MUTANTS
     check_entries(picked)
     survived = 0
     for path, old, new, reason in picked:
@@ -127,7 +147,7 @@ def main(argv: list[str]) -> int:
         print(f"{'killed  ' if killed else 'SURVIVED'} {path}: {old!r} -> {new!r} ({seconds:.0f} s; {last})")
         print(f"         {reason}")
     print(f"{len(picked) - survived} killed, {survived} survived")
-    return 1 if survived else 0
+    return 1 if survived != (len(picked) if expect_survivors else 0) else 0
 
 
 if __name__ == "__main__":
