@@ -115,6 +115,15 @@ def _fused_context() -> contextvars.Context:
     return context
 
 
+def _aligned(size: int, zero: bool = True) -> np.ndarray:
+    """`size` float64 zeros (or uninitialized entries) starting on a 64-byte
+    boundary, so that a walk's speed does not depend on where the heap put
+    its buffers."""
+    base = (np.zeros if zero else np.empty)(size + 7)
+    skip = -base.ctypes.data % 64 // base.itemsize
+    return base[skip : skip + size]
+
+
 def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = False,
             last_first: bool = False, stored: bool = False, reach: int | None = None,
             reads: list | None = None):
@@ -163,7 +172,7 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = Fa
     def steps():
         length, prev = x + 1, 0  # the lengths of rows n - 1 and n - 2
         size = max(4 * (pad + length), 1 + max([j for _, j in reads or ()], default=0))
-        bufs = [np.zeros(size), np.zeros(size)]  # row n lives in bufs[n % 2]
+        bufs = [_aligned(size), _aligned(size)]  # row n lives in bufs[n % 2]
         dest, landed = bufs[0], bufs[0][pad - a : pad][::-1]
         if row is None:
             dest[pad + x] = 1.0
@@ -182,22 +191,22 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = Fa
                     cover, plans = width + 64, [None, None]
                     if pad + a + cover > size:  # grow both buffers geometrically
                         size = 2 * (pad + a + cover)
-                        grown = np.zeros(size)
+                        grown = _aligned(size)
                         grown[pad : pad + length] = dest[pad : pad + length]
-                        bufs[n % 2], bufs[1 - n % 2], prev = np.zeros(size), grown, 0
+                        bufs[n % 2], bufs[1 - n % 2], prev = _aligned(size), grown, 0
                 plan = plans[n % 2]
                 if plan is None:  # the step computes entries -a .. cover - 1 of row n
                     src, dest, span = bufs[1 - n % 2], bufs[n % 2], a + cover
                     out = dest[pad - a : pad + cover]
                     if not fused:
                         if scratch.size < span:
-                            scratch = np.empty(2 * span)
+                            scratch = _aligned(2 * span, zero=False)
                         (head, tap), *rest = [(src[s : s + span], t) for s, t in terms]
                         kernel = head, tap, rest, scratch[:span]
                     else:  # window row i reads from offset i: first-last reads it bottom up
                         height, cols = column.size, max(1, FUSED_FLOATS // column.size)
                         if scratch.size < height * min(span, cols):
-                            scratch = np.empty(height * min(2 * span, cols))
+                            scratch = _aligned(height * min(2 * span, cols), zero=False)
                         window = np.ndarray((height, span), buffer=src, strides=(src.itemsize, src.itemsize))
                         window = window if last_first else window[::-1]
                         kernel = [(window[:, i : i + cols], scratch[: height * min(cols, span - i)].reshape(height, -1),

@@ -19,15 +19,15 @@ import numpy as np
 from .chain import MEMORY_CAP_FLOATS, STREAMING_N_MAX_CAP
 from .errors import HorizonTooLarge, InvalidSimConfig, NoReflectionsObserved
 from .laws import LatticeLaw
-from .philox import _TILE_INVOCATIONS, uniforms
+from .philox import _TILE_INVOCATIONS, words
 
 THREADS_ENV = "REFLECTWALK_THREADS"
 _BLOCK_PATHS = 16_384
 # Steps per chunk; must stay 4-aligned for the substream layout. A block holds
-# two int32 rows of its paths per step: the increments and the raw positions.
+# one int32 row of its paths per step: the increments, then the raw positions.
 _CHUNK_DRAWS = 64
-# Paths per draw tile, so that one uniforms call of a full chunk is one Philox
-# tile. A tile's draws, buckets and increments (2.5 MB) are reused per tile.
+# Paths per draw tile, so that one words call of a full chunk is one Philox
+# tile. A tile's lanes, buckets and increments (2.5 MB) are reused per tile.
 _TILE_PATHS = _TILE_INVOCATIONS * 4 // _CHUNK_DRAWS
 
 # Caps on a config. States are held as int32, which STATE_CAP keeps safe.
@@ -124,14 +124,15 @@ def _path_blocks(paths: int, workers: int) -> list[tuple[int, int]]:
 
 
 class _IncrementMap:
-    """Maps draws u to increments searchsorted(cdf, u, side="right") + lo, bit
-    for bit, through a guide table (Chen & Asau 1974).
+    """Maps 32-bit words w to the increments searchsorted(cdf, w * 2^-32,
+    side="right") + lo of their draws, bit for bit, through a guide table
+    (Chen & Asau 1974).
 
-    A draw is u = w * 2^-32 for a 32-bit word w, so bucket floor(u * 2^16)
-    holds the draws k * 2^-16 .. (k + 1) * 2^-16 - 2^-32. Where searchsorted
-    agrees at both ends, it is constant on the bucket (it is monotone), and the
-    table holds its value. Draws in the other buckets, at most one per cdf
-    threshold, fall back to searchsorted.
+    Bucket w >> 16 = floor(w * 2^-32 * 2^16) holds the draws k * 2^-16 ..
+    (k + 1) * 2^-16 - 2^-32. Where searchsorted agrees at both ends, it is
+    constant on the bucket (it is monotone), and the table holds its value.
+    Words in the other buckets, at most one per cdf threshold, fall back to
+    searchsorted on their draws.
     """
 
     def __init__(self, law: LatticeLaw):
@@ -142,18 +143,19 @@ class _IncrementMap:
         last = np.searchsorted(self.cdf, edges[1:] - 2.0**-32, side="right")
         self.table = np.where(first == last, first + law.lo, _MIXED).astype(np.int32)
 
-    def __call__(self, u: np.ndarray, bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """Returns the increments of draws u, shape (paths, steps), step-major:
-        shape (steps, paths), in the first u.size entries of the flat int32
-        scratch out. bucket is flat intp scratch at least as long; a block
-        reuses both for each of its path tiles."""
-        out = out[: u.size].reshape(u.shape[::-1])
-        bucket = bucket[: u.size].reshape(out.shape)
-        np.multiply(u.T, 2.0**_GUIDE_BITS, out=bucket, casting="unsafe")
+    def __call__(self, words: np.ndarray, bucket: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """Returns the increments of an array of unsigned words, in its shape,
+        C-ordered in the first words.size entries of the flat int32 scratch
+        out. bucket is flat intp scratch at least as long; a block reuses both
+        for each of its path tiles."""
+        out = out[: words.size].reshape(words.shape)
+        bucket = bucket[: words.size].reshape(words.shape)
+        np.right_shift(words, 32 - _GUIDE_BITS, out=bucket, casting="unsafe")
         self.table.take(bucket, out=out, mode="clip")
         mixed = np.flatnonzero(out == _MIXED)
         if mixed.size:
-            out.flat[mixed] = np.searchsorted(self.cdf, u.T.flat[mixed], side="right") + self.lo
+            draws = words[np.unravel_index(mixed, words.shape)] * 2.0**-32
+            out.flat[mixed] = np.searchsorted(self.cdf, draws, side="right") + self.lo
         return out
 
 
@@ -163,25 +165,27 @@ def _walk(config: SimConfig, increments: _IncrementMap, lo: int, hi: int, observ
     After each chunk of steps t+1 .. t+m, calls observe(t, raw), where raw[j]
     holds X_{t+j} + Y_{t+j+1} for every path, the position before the fold:
     X_{t+j+1} = |raw[j]|, and raw[j] < 0 marks a reflection at step t+j+1.
-    A chunk's increments are drawn one path tile at a time into tile-sized
-    scratch, then copied into its rows of inc.
+    A chunk's increments are drawn one path tile at a time, through
+    tile-sized Philox lanes, buckets and int32 scratch, into the tile's
+    columns of raw; each step then adds the states to its row in place.
     """
     n = config.horizon
     paths = hi - lo
     ids = np.arange(lo, hi, dtype=np.uint64)
     states = np.full(paths, config.start, dtype=np.int32)
-    shape = (min(_CHUNK_DRAWS, (n + 3) // 4 * 4), paths)
-    raw, inc = np.empty(shape, np.int32), np.empty(shape, np.int32)
+    raw = np.empty((min(_CHUNK_DRAWS, (n + 3) // 4 * 4), paths), np.int32)
     tile = min(_TILE_PATHS, paths)
-    bucket, scratch = np.empty(shape[0] * tile, np.intp), np.empty(shape[0] * tile, np.int32)
+    size = raw.shape[0] * tile
+    lanes, bucket, scratch = np.empty(size, np.uint64), np.empty(size, np.intp), np.empty(size, np.int32)
     for t in range(0, n, _CHUNK_DRAWS):
         m = min(_CHUNK_DRAWS, n - t)
         draws = (m + 3) // 4 * 4
         for p in range(0, paths, tile):
             q = min(p + tile, paths)
-            inc[:draws, p:q] = increments(uniforms(config.seed, ids[p:q], t, draws), bucket, scratch)
+            tiled = increments(words(config.seed, ids[p:q], t, draws, lanes), bucket, scratch)
+            raw[:draws, p:q] = tiled.reshape(draws, q - p)
         for j in range(m):
-            np.add(states, inc[j], out=raw[j])
+            np.add(states, raw[j], out=raw[j])
             np.abs(raw[j], out=states)
         observe(t, raw[:m])
     return states

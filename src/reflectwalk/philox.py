@@ -25,58 +25,100 @@ _TILE_INVOCATIONS = 32_768  # invocations per pass of the rounds: 256 KiB per ui
 _INV_2_32 = float(2.0**-32)
 
 
-def philox4x32(c0, c1, c2, c3, k0, k1):
+def _mix(product, word, key, out):
+    """high32(product) ^ word ^ key, in out if it is given."""
+    if out is None:
+        return np.bitwise_xor(np.right_shift(product, SHIFT32), word) ^ key
+    np.right_shift(product, SHIFT32, out=out)
+    out ^= word
+    out ^= key
+    return out
+
+
+def philox4x32(c0, c1, c2, c3, k0, k1, out=None):
     """Apply Philox4x32-10 to broadcastable uint64 arrays of 32-bit values.
 
-    Returns the four output lanes as uint64 arrays holding 32-bit words.
+    Returns the four output lanes, uint64 arrays of the inputs' broadcast
+    shape holding 32-bit words. Each round runs at the broadcast shape of its
+    own operands, so a counter word that varies along one axis only stays
+    that small until a round mixes it with a word that varies along another.
+    A value of the full shape is written in place in its lane of `out`, four
+    writable uint64 arrays of that shape (allocated if None), which are
+    returned; the inputs are never written.
     """
-    # C-ordered copies, which the rounds update in place
-    c0, c1, c2, c3 = (
-        np.array(c, dtype=np.uint64, order="C") for c in np.broadcast_arrays(c0, c1, c2, c3)
-    )
+    c = [np.asarray(x, dtype=np.uint64) for x in (c0, c1, c2, c3)]
+    shape = np.broadcast_shapes(*(x.shape for x in c))
+    if out is None:
+        out = np.empty((4, *shape), np.uint64)
+    lanes = [out[i][...] for i in range(4)]  # [...]: 0-d arrays, not scalars, at shape ()
+    for i, x in enumerate(c):
+        if x.shape == shape:
+            np.copyto(lanes[i], x)
+            c[i] = lanes[i]
+    c0, c1, c2, c3 = c
+
+    def lane(i, *xs):  # lane i of out for a result of the full shape, else None
+        return lanes[i] if np.broadcast_shapes(*(x.shape for x in xs)) == shape else None
+
+    spare = None  # the full-shape high product, once c2 is full
     k0 = np.uint64(k0)
     k1 = np.uint64(k1)
-    prod0 = np.empty_like(c0)
-    prod1 = np.empty_like(c0)
     for _ in range(ROUNDS):
-        np.multiply(MULT_0, c0, out=prod0)
-        np.multiply(MULT_1, c2, out=prod1)
-        np.right_shift(prod1, SHIFT32, out=c0)
-        c0 ^= c1
-        c0 ^= k0
-        np.bitwise_and(prod1, MASK32, out=c1)
-        np.right_shift(prod0, SHIFT32, out=c2)
-        c2 ^= c3
-        c2 ^= k1
-        np.bitwise_and(prod0, MASK32, out=c3)
+        # A lane is overwritten only after the last read of its old value:
+        # c2 goes into prod1, c0 becomes prod0, which c2 and c3 read, and c1
+        # is read by the new c0.
+        if c2.shape == shape and spare is None:
+            spare = np.empty(shape, np.uint64)
+        prod1 = np.multiply(MULT_1, c2, out=spare if c2.shape == shape else None)
+        prod0 = np.multiply(MULT_0, c0, out=lane(0, c0))
+        c2 = _mix(prod0, c3, k1, lane(2, prod0, c3))
+        c3 = np.bitwise_and(prod0, MASK32, out=lane(3, prod0))
+        c0 = _mix(prod1, c1, k0, lane(0, prod1, c1))
+        c1 = np.bitwise_and(prod1, MASK32, out=lane(1, prod1))
         k0 = (k0 + WEYL_0) & MASK32
         k1 = (k1 + WEYL_1) & MASK32
-    return c0, c1, c2, c3
+    return c0, c1, c2, c3  # every lane depends on every input word after three rounds
 
 
-def uniforms(seed: int, path_ids: np.ndarray, first_draw: int, count: int) -> np.ndarray:
-    """Uniform [0, 1) draws for each path id and draw index.
+def words(seed: int, path_ids: np.ndarray, first_draw: int, count: int, out: np.ndarray) -> np.ndarray:
+    """The 32-bit words, as uint64, of draws first_draw .. first_draw + 4 B - 1
+    of each path id, B = ceil(count / 4): the word of draw first_draw + 4 b + i
+    of path p is at [b, i, p] of the returned (B, 4, len(path_ids)) view.
 
     Draw j of path p is lane j mod 4 of the invocation with counter
     (j // 4, low32(p), high32(p), 0) and key (low32(seed), high32(seed)).
-    Requires first_draw to be a multiple of 4. Returns shape
-    (len(path_ids), count), as the transpose of a draw-major array, so that
-    the draws with one index sit in one contiguous row.
+    Requires first_draw to be a multiple of 4. The rounds run in place in the
+    first 4 B len(path_ids) entries of `out`, a flat uint64 array, one
+    contiguous lane after another.
     """
     if first_draw % 4 != 0:
         raise InvalidInput("first_draw must be 4-aligned")
     seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-    k0, k1 = seed & 0xFFFFFFFF, seed >> 32
     path_ids = np.asarray(path_ids, dtype=np.uint64)
     paths = path_ids.shape[0]
     blocks = (count + 3) // 4
-    c0 = (np.uint64(first_draw // 4) + np.arange(blocks, dtype=np.uint64))[:, None]
+    lanes = out[: 4 * blocks * paths].reshape(4, blocks, paths)
+    counter = (np.uint64(first_draw // 4) + np.arange(blocks, dtype=np.uint64))[:, None]
+    philox4x32(counter, path_ids & MASK32, path_ids >> SHIFT32, 0, seed & 0xFFFFFFFF, seed >> 32, out=lanes)
+    return lanes.transpose(1, 0, 2)
+
+
+def uniforms(seed: int, path_ids: np.ndarray, first_draw: int, count: int) -> np.ndarray:
+    """Uniform [0, 1) draws w * 2^-32 of the words w of `words`.
+
+    Returns shape (len(path_ids), count), as the transpose of a draw-major
+    array, so that the draws with one index sit in one contiguous row.
+    """
+    if first_draw % 4 != 0:
+        raise InvalidInput("first_draw must be 4-aligned")
+    path_ids = np.asarray(path_ids, dtype=np.uint64)
+    paths = path_ids.shape[0]
+    blocks = (count + 3) // 4
     out = np.empty((blocks, 4, paths), dtype=np.float64)
-    # path tiles of at most _TILE_INVOCATIONS invocations bound the round temporaries
+    # path tiles of at most _TILE_INVOCATIONS invocations bound the lanes
     tile = max(1, _TILE_INVOCATIONS // max(blocks, 1))
+    lanes = np.empty(4 * blocks * min(tile, paths), np.uint64)
     for lo in range(0, paths, tile):
-        ids = path_ids[None, lo : lo + tile]
-        lanes = philox4x32(c0, ids & MASK32, ids >> SHIFT32, 0, k0, k1)
-        for i, lane in enumerate(lanes):
-            np.multiply(lane, _INV_2_32, out=out[:, i, lo : lo + tile])
+        ids = path_ids[lo : lo + tile]
+        np.multiply(words(seed, ids, first_draw, count, lanes), _INV_2_32, out=out[:, :, lo : lo + tile])
     return out.reshape(4 * blocks, paths)[:count].T

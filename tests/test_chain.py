@@ -489,3 +489,14 @@ def test_columns_read_past_a_row_end_as_zero(law, fold):
             assert np.array_equal(series, [row[y] if y < row.size else 0.0 for row in rows])
         assert not columns[40][: (40 - 1) // law.b].any()
     assert (columns[40][-1] > 0) == (1 + law.b * 30 >= 40)
+
+
+@pytest.mark.parametrize("law", [law_from_masses({-1: 1 / 3, 0: 1 / 3, 1: 1 / 3}), FUSED_LAWS["dense_9"]],
+                         ids=["narrow", "fused"])
+def test_walk_buffers_start_on_a_cache_line(law):
+    # both walk buffers start on a 64-byte boundary, also after they grow, so
+    # a step's speed does not depend on where the heap put them; entry 0 of a
+    # row sits pad = len(taps) - 1 floats past the start of its buffer
+    pad = law.masses.size - 1
+    rows = _evolve(0, law.masses, law.a, 200, stored=True)
+    assert {(row.ctypes.data - 8 * pad) % 64 for row, _ in rows} == {0}

@@ -163,11 +163,13 @@ class TestSimulate:
             assert [nu[w].count for w in (1, 2)] == reference["kept"].tolist()
 
     def test_simulate_memory_is_one_block_and_one_tile(self, law_b, monkeypatch):
-        """At one thread a run holds one block at a time: its states and its
-        int32 increment and position rows (8 MB at 16,384 paths and 64 steps),
-        plus tile-sized draws, buckets and Philox lanes and the counting
-        temporaries of a chunk (about 4.5 MB). The bound leaves 25% headroom;
-        block-wide draws and buckets would add 12 MB."""
+        """At one thread a run holds one block at a time: its states and one
+        int32 row of its paths per step, which holds a step's increments until
+        the step adds the states to it in place (4 MB at 16,384 paths and 64
+        steps). Each tile draws into tile-sized Philox lanes, bucket indices
+        and int32 increments (2.5 MB), allocated once per block, and a chunk
+        adds its counting temporaries: 8.7 MB in all. The bound leaves 25%
+        headroom; a second block-wide int32 array would add 4 MB."""
         monkeypatch.setenv("REFLECTWALK_THREADS", "1")
         simulate(SimConfig(law_b, 0, 4, 10, 1))  # the pool's first-use imports
         tracemalloc.start()
@@ -176,7 +178,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 16 * 2**20
+        assert peak < 11 * 2**20
 
     def test_path_blocks_are_balanced(self):
         cap = montecarlo._BLOCK_PATHS
@@ -274,8 +276,8 @@ class TestCaps:
 
 
 def edge_draws(law, words=()):
-    """Draws at the guide-bucket edges around each cdf threshold, next to each
-    threshold, and at `words`, as uniforms of shape (n, 4)."""
+    """Words at the guide-bucket edges around each cdf threshold, next to each
+    threshold, and `words`, as uint32 of shape (n, 4)."""
     words = set(words)
     for c in np.cumsum(law.masses):
         w = int(c * 2**32)
@@ -284,7 +286,7 @@ def edge_draws(law, words=()):
         words.update({(k << 16) - 1, k << 16, ((k + 1) << 16) - 1, (k + 1) << 16})
     words = sorted(w for w in words if 0 <= w < 2**32)
     words += [0] * (-len(words) % 4)
-    return np.array(words, dtype=np.float64).reshape(-1, 4) * 2.0**-32
+    return np.array(words, dtype=np.uint32).reshape(-1, 4)
 
 
 @st.composite
@@ -309,10 +311,10 @@ CLUSTERED = law_from_masses({-2: 0.3, -1: 1e-9, 0: 2e-9, 1: 3e-9, 2: 0.7 - 6e-9}
 @given(laws_and_draws())
 @example((CLUSTERED, edge_draws(CLUSTERED)))
 def test_guide_table_matches_searchsorted(case):
-    law, u = case
-    expected = np.searchsorted(np.cumsum(law.masses), u, side="right") + law.lo
-    got = montecarlo._IncrementMap(law)(u, np.empty(u.size, np.intp), np.empty(u.size + 5, np.int32))
-    assert np.array_equal(got, expected.T)
+    law, w = case
+    expected = np.searchsorted(np.cumsum(law.masses), w * 2.0**-32, side="right") + law.lo
+    got = montecarlo._IncrementMap(law)(w, np.empty(w.size, np.intp), np.empty(w.size + 5, np.int32))
+    assert np.array_equal(got, expected)
 
 
 class TestEstimatePxy:

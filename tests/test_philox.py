@@ -35,6 +35,25 @@ class TestKnownAnswers:
             scalar = philox4x32(i, 1, 2, 3, 7, 9)
             assert all(int(v[i]) == int(s) for v, s in zip(vec, scalar))
 
+    def test_broadcast_rounds_in_caller_scratch(self):
+        # a (B, 1) counter, (1, P) path words, a nonzero c3 and a key with both
+        # halves set: rounds run small until they mix, then in the scratch lanes
+        c3, k0, k1 = 0x0BADF00D, 0x9E3779B9, 0xDEADBEEF
+        ids = (np.arange(5, dtype=np.uint64) * 0x1F2E3D4C5 + 7)[None, :]
+        lo, hi = ids & 0xFFFFFFFF, ids >> 32
+        assert hi.min() < hi.max() and hi.max() > 0
+        scratch = np.empty((4, 3, 5), dtype=np.uint64)
+        for first in (0, 0xFFFFFFFD):
+            counter = np.arange(first, first + 3, dtype=np.uint64)[:, None]
+            inputs = [x.copy() for x in (counter, lo, hi)]
+            lanes = philox4x32(counter, lo, hi, c3, k0, k1, out=scratch)
+            assert all(lane.shape == (3, 5) and np.shares_memory(lane, scratch) for lane in lanes)
+            assert all(np.array_equal(x, y) for x, y in zip(inputs, (counter, lo, hi)))
+            for b in range(3):
+                for p in range(5):
+                    scalar = philox4x32(int(counter[b, 0]), int(lo[0, p]), int(hi[0, p]), c3, k0, k1)
+                    assert [int(lane[b, p]) for lane in lanes] == [int(s) for s in scalar]
+
 
 class TestUniforms:
     def test_deterministic(self):

@@ -96,6 +96,10 @@ MUTANTS = [
      "a kernel entry sums one anti-diagonal of the product table, a - 1 flat items apart"),
     (WH, "if depth > POTENTIAL_DEPTH_CAP:", "if depth >= POTENTIAL_DEPTH_CAP:",
      "a potential of exactly POTENTIAL_DEPTH_CAP entries past 0 is accepted"),
+    (MC, "np.right_shift(words, 32 - _GUIDE_BITS,", "np.right_shift(words, 31 - _GUIDE_BITS,",
+     "a word's guide bucket is its top 16 bits, floor(w * 2^-32 * 2^16)"),
+    (MC, "np.add(states, raw[j], out=raw[j])", "np.add(states, raw[j - 1], out=raw[j])",
+     "each step adds the states to its own row of increments"),
 ]
 
 # Mutants that tier-1 cannot kill, each with its class in the reason:
