@@ -76,7 +76,6 @@ from .reflection import (
     ReflectionCore,
     build_reflection_core,
     dominant_eigenvalue,
-    e_column,
     e_value,
     r_row_at_s,
 )

@@ -164,8 +164,8 @@ def _evolve(start, taps: np.ndarray, offset: int, n_max: int, *, fold: bool = Fa
     fused = len(terms) >= FUSED_TAPS and 4 * len(terms) >= 3 * len(taps)
     column = np.array(taps)[list(order), None] if fused else None
     run = _fused_context().run if fused else None
-    if reads is not None:  # as buffer indices; no row reaches past x + b n_max, nor a fold past a
-        deepest = max(x + b * n_max, a if fold else 0)
+    if reads is not None:  # as buffer indices; no row reaches past x + b n_max, nor a fold past a + b (n_max - 1)
+        deepest = max(x, a - b if fold else 0) + b * n_max
         reads = [(series, pad + state) for series, state in reads if state <= deepest]
     mul, add = np.multiply, np.add
 

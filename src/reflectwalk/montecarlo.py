@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chain import MEMORY_CAP_FLOATS, STREAMING_N_MAX_CAP
-from .errors import HorizonTooLarge, InvalidSimConfig, NoReflectionsObserved
+from .errors import HorizonTooLarge, InvalidInput, InvalidSimConfig, NoReflectionsObserved
 from .laws import LatticeLaw
 from .philox import _TILE_INVOCATIONS, words
 
@@ -93,6 +93,8 @@ class SimResult:
     def estimate(self, y: int, n: int | None = None) -> Estimate:
         """Empirical P[X_n = y] with its binomial standard error; n defaults
         to the horizon, else it must be a checkpoint."""
+        if n is not None and n not in self.terminal_at:
+            raise InvalidInput(f"n = {n} is not a checkpoint; recorded: {list(self.terminal_at)}")
         counts = self.terminal if n is None else self.terminal_at[n]
         hits = int(counts[y]) if 0 <= y < counts.shape[0] else 0
         p = hits / self.config.paths
@@ -251,8 +253,8 @@ def simulate(config: SimConfig, checkpoints=()) -> SimResult:
     """
     checkpoints = sorted(set(checkpoints))
     for c in checkpoints:
-        if not 0 <= c <= config.horizon:
-            raise InvalidSimConfig(f"checkpoint {c} outside [0, horizon {config.horizon}]")
+        if not (isinstance(c, (int, np.integer)) and 0 <= c <= config.horizon):
+            raise InvalidSimConfig(f"checkpoint {c} is not an integer in [0, horizon {config.horizon}]")
     parts = _run_blocks(config, _simulate_block, checkpoints)
     return SimResult(
         config,

@@ -59,6 +59,13 @@ def dense_law(a: int, b: int, seed: int) -> LatticeLaw:
     return law_from_masses({k - a: float(m) for k, m in enumerate(masses / masses.sum())})
 
 
+def wide_drifted_law(seed: int = 8) -> LatticeLaw:
+    """A 21-point drifted law drawn as the benchmark draws its d8 law: a dense
+    law on [-8, 12], tilted to zero drift, then tilted by r = 1.15."""
+    law = dense_law(8, 12, seed)
+    return tilt(tilt(law, minimize_mgf(law).r0), 1.15)
+
+
 def shift_add(row: np.ndarray, taps: list, order: range) -> np.ndarray:
     """Full linear convolution, out[t] = sum_k taps[k] * row[t - k], in a
     fresh array: the reference kernel that `dp_step` steps with.

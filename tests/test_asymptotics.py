@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.polynomial.polynomial import polyval
 
 from reflectwalk import (
@@ -16,15 +18,18 @@ from reflectwalk import (
     drifted_constant,
     law_from_masses,
     minimize_mgf,
+    moments,
     oracle_constant_centered,
     oracle_constant_drifted,
     predict,
     tilt,
     tilting_identity_check,
 )
+from reflectwalk import asymptotics
 from reflectwalk.chain import excursion_series
 from reflectwalk.asymptotics import drifted_objects
-from conftest import e_value_at_s, random_laws
+from reflectwalk.laws import DRIFT_TOL
+from conftest import e_value_at_s, random_laws, wide_drifted_law
 
 SQRT3 = math.sqrt(3.0)
 SQRT_PI = math.sqrt(math.pi)
@@ -250,10 +255,52 @@ class TestTiltingIdentity:
             tilting_identity_check(law_b, 9)
 
     def test_depth_cap_at_its_value(self, law_b):
-        # n = 8 enumerates all 3^8 paths; n = 9 is refused before any is built
+        # n = 8 is checked; n = 9 is refused before any convolution
         assert tilting_identity_check(law_b, 8) < 1e-14
         with pytest.raises(InvalidInput, match="capped at n = 8"):
             tilting_identity_check(law_b, 9)
+
+    def test_rejects_a_tilt_off_r0(self, law_b, monkeypatch):
+        # a tilt at r0 (1 + 1e-12) breaks the identity by about 5e-13 at every n
+        real_tilt = asymptotics.tilt
+        monkeypatch.setattr(asymptotics, "tilt", lambda law, r: real_tilt(law, r * (1 + 1e-12)))
+        for n in (1, 6):
+            assert tilting_identity_check(law_b, n) > 1e-14
+
+    @pytest.mark.parametrize("n", [6, 8])
+    def test_wide_drifted_law(self, n):
+        # 21 support points: 21^n paths, but two convolutions of 20 n + 1 entries
+        assert tilting_identity_check(wide_drifted_law(), n) < 1e-14
+
+    def test_float_range_is_a_typed_error(self):
+        # r0 = 1.4e-5: r0^(-64) overflows on S_8, while S_7 stays in range
+        law = law_from_masses({-1: 1e-10, 1: 0.5 - 1e-10, 8: 0.5})
+        assert tilting_identity_check(law, 7) < 1e-14
+        with pytest.raises(InvalidInput, match="float range on S_8"):
+            tilting_identity_check(law, 8)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(1, 8),
+        st.integers(1, 8),
+        st.integers(0, 2**32 - 1),
+        st.lists(st.one_of(st.none(), st.floats(-12, -1)), min_size=2, max_size=2),
+    )
+    def test_drifted_laws_give_a_small_residual_or_a_typed_error(self, a, b, seed, endpoints):
+        """Dirichlet masses on [-a, b], each endpoint mass optionally set to
+        10^e with e in [-12, -1]; any drift but zero."""
+        masses = np.random.default_rng(seed).dirichlet(np.ones(a + b + 1))
+        for i, e in zip((0, -1), endpoints):
+            if e is not None:
+                masses[i] = 10.0**e
+        masses /= masses.sum()
+        try:
+            law = law_from_masses({k - a: float(m) for k, m in enumerate(masses)})
+            assume(abs(moments(law)[0]) > DRIFT_TOL)
+            residual = tilting_identity_check(law, 8)
+        except ReflectWalkError:
+            return
+        assert math.isfinite(residual) and residual < 1e-14
 
 
 class TestReports:

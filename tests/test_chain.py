@@ -336,6 +336,8 @@ PERIODIC = law_from_masses({-2: 0.5, 2: 0.5})
 # the cone's edge trim drops a subnormal entry that the uncut walk keeps
 @example(law=law_from_masses({-2: 1e-300, -1: 0.0625, 1: 1.0 - 0.0625 - 2e-300, 2: 1e-300}), x=0, ys={1},
          n=30, fold=False, last_first=False)
+# a fold lands on a from 0, so state a + b (n - 1) = 3 is reached at n = 2, past x + b n
+@example(law=law_from_masses({-2: 0.5, 1: 0.5}), x=0, ys={3}, n=2, fold=True, last_first=False)
 def test_cone_columns_match_the_uncut_walk(law, x, ys, n, fold, last_first):
     """`_columns` steps row n only up to entry R + a (n_max - n), R the deepest
     entry it reads. The cone can differ from the uncut walk only through the

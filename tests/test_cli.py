@@ -34,7 +34,7 @@ from reflectwalk.cli import (
 )
 from reflectwalk.errors import NonFiniteOutput
 from reflectwalk.reflection import e_value
-from conftest import dense_law, golden_mismatch, record_kernel_rows, rows_built
+from conftest import dense_law, golden_mismatch, record_kernel_rows, rows_built, wide_drifted_law
 
 LAWS = Path(__file__).parent / "laws"
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,6 +158,17 @@ def test_validate_walks_each_identity_start_once(law_path, monkeypatch, capsys):
         if n > 60 and not fold and isinstance(start, int) and start == 0 and np.array_equal(taps, base.masses)
     ]
     assert long_killed == [10_000]
+
+
+def test_validate_passes_on_a_wide_drifted_law(tmp_path, capsys):
+    # 21 support points: the tilting check convolves twice instead of listing 21^6 paths
+    path = tmp_path / "d8.json"
+    path.write_text(json.dumps({"masses": {str(k): v for k, v in wide_drifted_law().as_dict().items()}}))
+    code, out, _ = run(["validate", "--law", str(path), "--oracle-n", "400"], capsys)
+    assert code == 0
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert checks["tilting_identity_residual"]["pass"]
+    assert all(c["pass"] for c in checks.values())
 
 
 def test_dump_internals_builds_each_kernel_row_once(monkeypatch, capsys):

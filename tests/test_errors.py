@@ -24,6 +24,7 @@ SITES = {
     "r_row x < 0": lambda: r_row(ladder_laws(LAW_A), -1),
     "predict n < 1": lambda: predict(centered_constant(LAW_A, 0), 0),
     "tilting_identity_check n > 8": lambda: tilting_identity_check(LAW_B, 9),
+    "tilting_identity_check n < 0": lambda: tilting_identity_check(LAW_B, -1),
     "mgf_derivative order 3": lambda: mgf_derivative(LAW_A, 1.0, order=3),
     "uniforms first_draw unaligned": lambda: uniforms(1, np.arange(2), 3, 4),
 }

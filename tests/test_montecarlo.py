@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import reflectwalk.montecarlo as montecarlo
 from reflectwalk import (
     HorizonTooLarge,
+    InvalidInput,
     InvalidSimConfig,
     NoReflectionsObserved,
     ReflectWalkError,
@@ -130,6 +131,16 @@ class TestSimulate:
     def test_checkpoint_outside_horizon_rejected(self, law_a):
         with pytest.raises(InvalidSimConfig, match="checkpoint"):
             simulate(SimConfig(law_a, 0, 10, 10, 0), checkpoints=[11])
+
+    def test_checkpoint_that_is_not_an_integer_rejected(self, law_a):
+        with pytest.raises(InvalidSimConfig, match="checkpoint 2.5 is not an integer"):
+            simulate(SimConfig(law_a, 0, 10, 10, 0), checkpoints=[2.5])
+
+    def test_estimate_off_the_checkpoints_is_typed(self, law_a):
+        result = simulate(SimConfig(law_a, 0, 10, 10, 0), checkpoints=[4, 2])
+        assert result.estimate(0, 4).count == int(result.terminal_at[4][0])
+        with pytest.raises(InvalidInput, match=r"n = 3 is not a checkpoint; recorded: \[2, 4\]"):
+            result.estimate(0, 3)
 
     @pytest.mark.parametrize("chunk", [4, 64, 4096])
     def test_chunk_width_does_not_change_results(self, law_p5, monkeypatch, chunk):

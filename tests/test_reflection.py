@@ -15,7 +15,6 @@ from reflectwalk import (
     StationarityFailure,
     build_reflection_core,
     dominant_eigenvalue,
-    e_column,
     e_value,
     factorize_at,
     ladder_laws,
@@ -31,6 +30,7 @@ from reflectwalk.cli import main
 from reflectwalk.reflection import (
     doeblin_gap,
     doeblin_kappa,
+    e_column,
     e_tilde_value,
     excursion_slope_oracle_error,
     kernel_slope_oracle_error,

@@ -79,7 +79,13 @@ MUTANTS = [
     (CHAIN, "series[n] = dest[j]", "series[n] = dest[j - 1]",
      "a streamed walk reads each entry and landing slot at its own buffer index"),
     (ASYM, "if n > 8:", "if n >= 8:",
-     "the exhaustive tilting check runs at its cap, n = 8"),
+     "the tilting check convolves up to its cap, n = 8"),
+    (ASYM, "info.r0 ** (-ks)", "info.r0 ** ks",
+     "the tilted law of S_n is weighted by r0^(-k), the inverse of the tilt"),
+    (ASYM, "info.rho0**n", "info.rho0**(n - 1)",
+     "each of the n steps of the tilted law carries one factor rho0"),
+    (ASYM, "np.convolve(p_tilt, tilted.masses)", "np.convolve(p_tilt, law.masses)",
+     "the right side of the identity is built from the tilted law, not the law itself"),
     (REFL, "lam >= 1.0 - 1e-12", "lam > 1.0 - 1e-12",
      "a core of spectral radius exactly 1 - 1e-12 has no resolvent"),
     (WH, "if err > SLOPE_REL_TOL:", "if err >= SLOPE_REL_TOL:",
