@@ -261,7 +261,9 @@ def minimize_mgf(law: LatticeLaw) -> TiltInfo:
             break
         r = candidate
     r, fr = best
-    if abs(fr) > 1e-12 * scale(r):
+    # mgf' cancels terms of total size `cancelled`, which bounds its rounding
+    cancelled = math.fsum(abs(k) * m * r ** (k - 1) for k, m in zip(range(law.lo, law.hi + 1), law.masses))
+    if abs(fr) > 1e-12 * max(scale(r), cancelled):
         raise ConvergenceFailure(
             f"mgf minimizer stalled at r={r!r} with mgf'={fr!r}"
         )

@@ -25,56 +25,38 @@ _TILE_INVOCATIONS = 32_768  # invocations per pass of the rounds: 256 KiB per ui
 _INV_2_32 = float(2.0**-32)
 
 
-def _mix(product, word, key, out):
-    """high32(product) ^ word ^ key, in out if it is given."""
-    if out is None:
-        return np.bitwise_xor(np.right_shift(product, SHIFT32), word) ^ key
-    np.right_shift(product, SHIFT32, out=out)
-    out ^= word
-    out ^= key
-    return out
-
-
 def philox4x32(c0, c1, c2, c3, k0, k1, out=None):
     """Apply Philox4x32-10 to broadcastable uint64 arrays of 32-bit values.
 
     Returns the four output lanes, uint64 arrays of the inputs' broadcast
-    shape holding 32-bit words. Each round runs at the broadcast shape of its
-    own operands, so a counter word that varies along one axis only stays
-    that small until a round mixes it with a word that varies along another.
-    A value of the full shape is written in place in its lane of `out`, four
-    writable uint64 arrays of that shape (allocated if None), which are
-    returned; the inputs are never written.
+    shape holding 32-bit words. The inputs are copied, broadcast, into the
+    four lanes of `out`, writable uint64 arrays of that shape (allocated if
+    None), and every round runs in place there, with one spare array for
+    the second product; the inputs are never written.
     """
     c = [np.asarray(x, dtype=np.uint64) for x in (c0, c1, c2, c3)]
-    shape = np.broadcast_shapes(*(x.shape for x in c))
     if out is None:
-        out = np.empty((4, *shape), np.uint64)
-    lanes = [out[i][...] for i in range(4)]  # [...]: 0-d arrays, not scalars, at shape ()
-    for i, x in enumerate(c):
-        if x.shape == shape:
-            np.copyto(lanes[i], x)
-            c[i] = lanes[i]
-    c0, c1, c2, c3 = c
-
-    def lane(i, *xs):  # lane i of out for a result of the full shape, else None
-        return lanes[i] if np.broadcast_shapes(*(x.shape for x in xs)) == shape else None
-
-    spare = None  # the full-shape high product, once c2 is full
+        out = np.empty((4, *np.broadcast_shapes(*(x.shape for x in c))), np.uint64)
+    c0, c1, c2, c3 = lanes = [out[i, ...] for i in range(4)]  # views, 0-d at shape ()
+    for lane, x in zip(lanes, c):
+        np.copyto(lane, x)
+    spare = np.empty_like(c0)
     k0 = np.uint64(k0)
     k1 = np.uint64(k1)
     for _ in range(ROUNDS):
         # A lane is overwritten only after the last read of its old value:
-        # c2 goes into prod1, c0 becomes prod0, which c2 and c3 read, and c1
-        # is read by the new c0.
-        if c2.shape == shape and spare is None:
-            spare = np.empty(shape, np.uint64)
-        prod1 = np.multiply(MULT_1, c2, out=spare if c2.shape == shape else None)
-        prod0 = np.multiply(MULT_0, c0, out=lane(0, c0))
-        c2 = _mix(prod0, c3, k1, lane(2, prod0, c3))
-        c3 = np.bitwise_and(prod0, MASK32, out=lane(3, prod0))
-        c0 = _mix(prod1, c1, k0, lane(0, prod1, c1))
-        c1 = np.bitwise_and(prod1, MASK32, out=lane(1, prod1))
+        # c2 goes into spare, c0 becomes its product, which c2 and c3 read,
+        # and c1 is read by the new c0.
+        np.multiply(MULT_1, c2, out=spare)
+        np.multiply(MULT_0, c0, out=c0)
+        np.right_shift(c0, SHIFT32, out=c2)
+        c2 ^= c3
+        c2 ^= k1
+        np.bitwise_and(c0, MASK32, out=c3)
+        np.right_shift(spare, SHIFT32, out=c0)
+        c0 ^= c1
+        c0 ^= k0
+        np.bitwise_and(spare, MASK32, out=c1)
         k0 = (k0 + WEYL_0) & MASK32
         k1 = (k1 + WEYL_1) & MASK32
     return c0, c1, c2, c3  # every lane depends on every input word after three rounds

@@ -218,6 +218,15 @@ def test_dump_internals_builds_each_excursion_value_once(tmp_path, monkeypatch, 
         assert calls == {"e_value": window, "e_tilde_value": window}, law_path
 
 
+def test_analyze_law_with_minimum_far_below_one(tmp_path, capsys):
+    # mgf(r0) is about 2e-5, far below the terms mgf' cancels at r0
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps({"masses": {"-1": 2e-10, "1": 0.5 - 2e-10, "8": 0.5}}))
+    code, out, _ = run(["analyze", "--law", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["tilt"]["r0"] == pytest.approx(2.0000000004e-05, rel=1e-9)
+
+
 class TestExitCodes:
     def test_usage_error_is_one(self, capsys):
         assert main(["analyze"]) == 1

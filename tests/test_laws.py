@@ -175,6 +175,24 @@ class TestMinimizeMgf:
         for law in random_laws(4, seed=29, centered=True):
             assert minimize_mgf(law).rho0 == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "masses,r0",
+        [
+            ({-1: 2e-10, 1: 0.5 - 2e-10, 8: 0.5}, 2.0000000004e-05),
+            ({-1: 1e-9, **{k: (1 - 1e-9) / 8 for k in range(1, 9)}}, 8.943e-05),
+        ],
+        ids=["three_point", "uniform_1_8"],
+    )
+    def test_minimum_far_below_one(self, masses, r0):
+        # mgf(r0) is far below the size of the terms mgf' cancels, so the
+        # stop test is relative to those terms, not to mgf(r0)
+        from reflectwalk.laws import mgf_derivative
+
+        law = law_from_masses(masses)
+        info = minimize_mgf(law)
+        assert info.r0 == pytest.approx(r0, rel=1e-4)
+        assert mgf_derivative(law, info.r0 * (1 - 1e-9)) < 0 < mgf_derivative(law, info.r0 * (1 + 1e-9))
+
     def test_stationarity_of_minimizer(self):
         from reflectwalk.laws import mgf_derivative
 

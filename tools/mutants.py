@@ -32,6 +32,7 @@ LAWS = "src/reflectwalk/laws.py"
 CHAIN = "src/reflectwalk/chain.py"
 MC = "src/reflectwalk/montecarlo.py"
 CLI = "src/reflectwalk/cli.py"
+PHILOX = "src/reflectwalk/philox.py"
 
 MUTANTS = [
     (WH, "SLOPE_REL_TOL = 1e-3", "SLOPE_REL_TOL = 1e-1",
@@ -106,6 +107,14 @@ MUTANTS = [
      "a word's guide bucket is its top 16 bits, floor(w * 2^-32 * 2^16)"),
     (MC, "np.add(states, raw[j], out=raw[j])", "np.add(states, raw[j - 1], out=raw[j])",
      "each step adds the states to its own row of increments"),
+    (PHILOX, "path_ids >> SHIFT32", "path_ids >> np.uint64(33)",
+     "counter word 2 of a draw is the high 32 bits of its path id"),
+    (PHILOX, "seed >> 32", "seed >> 33",
+     "key word 1 is the high 32 bits of the seed"),
+    (PHILOX, "np.bitwise_and(c0, MASK32, out=c3)", "np.bitwise_and(spare, MASK32, out=c3)",
+     "c3 is the low word of the first product, M0 c0"),
+    (PHILOX, "c2 ^= k1", "c2 ^= k0",
+     "the first product's high word is mixed with key word 1"),
 ]
 
 # Mutants that tier-1 cannot kill, each with its class in the reason:
